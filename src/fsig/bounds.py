@@ -90,10 +90,11 @@ def pi1_order_bound_sequence(
     A floor of an estimate can be off by one, so the report carries the
     interval spanned by the last normalized value and the extrapolation,
     with both induced floors, and is never used to assert a failure.
+    A single record has no extrapolation; its value is used for both.
     """
     seq = fsig_sequence(ring, delta, e_max=e_max, deadline=deadline)
     last = seq.records[-1].normalized
-    extrap = seq.extrapolated
+    extrap = last if seq.extrapolated is None else seq.extrapolated
     lo, hi = min(last, extrap), max(last, extrap)
     if lo <= 0:
         raise ValueError("estimated F-signature is not positive; the bound does not apply")

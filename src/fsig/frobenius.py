@@ -200,18 +200,23 @@ def splitting_number(
     """a_e = length of P/I_e, the free rank of the e-th Frobenius pushforward."""
     if method == "colon":
         length = quotient_length(splitting_ideal(ring, delta, e))
-        assert length != math.inf
+        if length == math.inf:
+            raise ValueError("splitting ideal does not have finite colength")
         return int(length)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     q, g = _twist(ring, delta, e)
+    return _colon_length(ring, g, q)
+
+
+def _colon_length(ring: RingPresentation, g: Polynomial, q: int) -> int:
+    """lambda(P/(m^[q] : g)): the rank of multiplication by g on P/m^[q]."""
     if g.total_degree() == 0:
         return q**ring.nvars
     caps = (q,) * ring.nvars
     if g.is_monomial():
         return multiplication_rank(g, caps)
-    weights = find_positive_weights(g)
-    return multiplication_rank(g, caps, weights=weights)
+    return multiplication_rank(g, caps, weights=find_positive_weights(g))
 
 
 @dataclass(frozen=True)
@@ -343,19 +348,10 @@ def ctrick_gap_sequence(
     gaps = []
     for e in range(1, e_max + 1):
         q, g = _twist(ring, None, e)
-        caps = (q,) * ring.nvars
-        base = _rank_of(g, caps, q, ring)
-        shifted = _rank_of(g * c, caps, q, ring)
+        base = _colon_length(ring, g, q)
+        shifted = _colon_length(ring, g * c, q)
         gaps.append(Fraction(base - shifted, q**ring.d))
     return gaps
-
-
-def _rank_of(g: Polynomial, caps: tuple[int, ...], q: int, ring: RingPresentation) -> int:
-    if g.total_degree() == 0:
-        return q**ring.nvars
-    if g.is_monomial():
-        return multiplication_rank(g, caps)
-    return multiplication_rank(g, caps, weights=find_positive_weights(g))
 
 
 def _check_nonzero_in_ring(ring: RingPresentation, c: Polynomial) -> None:
@@ -395,9 +391,8 @@ def perturbed_limit_check(
     gaps = []
     for e in range(1, e_max + 1):
         q, g = _twist(ring, delta, e)
-        caps = (q,) * ring.nvars
-        base = _rank_of(g, caps, q, ring)
-        pert = _rank_of(g * fixed, caps, q, ring)
+        base = _colon_length(ring, g, q)
+        pert = _colon_length(ring, g * fixed, q)
         gaps.append(Fraction(base - pert, q**ring.d))
     q_last = ring.p**e_max
     if threshold is None:

@@ -1,9 +1,22 @@
 """Exact dense linear algebra over GF(p) and multiplication-map ranks.
 
-Ranks are computed by blocked right-looking LU in floating point with
-BLAS trailing updates.  Block sizes are capped so every intermediate dot
-product stays below the float mantissa, which keeps the arithmetic exact
-before each reduction mod p.
+Ranks come from LU elimination on integer-valued float arrays: float32
+while the bounds below allow it, float64 past that, and Python integers
+(``rank_mod_p_reference``) for primes too large for either.
+
+Exactness invariant: every entry the rank kernel holds is an integer of
+magnitude at most ``_limit(p, dtype)``, which lies at least p below 2^24
+(float32) or 2^53 (float64).  So every product, sum and difference the
+kernel forms, BLAS calls included, is exact, and ``_reduce`` (X -= rint(X
+* (1/p)) * p, into (-p, p)) is exact as well.
+
+Reduction mod p is delayed.  Multipliers and pivot rows are reduced when
+they are formed, so one update term is at most (p-1)^2 in magnitude, and
+a column is reduced when it is searched for a pivot.  The rest of the
+active block is left unreduced: the kernel tracks a bound on it, a panel
+of k pivots raises the bound by k*(p-1)^2, and the block is reduced only
+before a panel whose updates could carry it past the limit.  At p = 3 in
+float32 that takes over a million pivots, so in practice it never happens.
 """
 
 from __future__ import annotations
@@ -15,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .field import is_prime
 from .poly import Polynomial
 
 _F32_LIMIT = 2**24
@@ -24,68 +38,120 @@ _MAX_DENSE = 4000
 _MAX_BOX = 40_000_000
 
 
+def _limit(p: int, dtype) -> int:
+    """Largest magnitude the kernel lets an unreduced entry reach.
+
+    With 2^t the mantissa limit of dtype: below 2^t - p every integer the
+    kernel forms is exact, and below p * 2^(t-3) the quotient X * (1/p)
+    in ``_reduce`` is within 1/4 of X/p, so its rint is floor or ceil.
+    """
+    top = _F32_LIMIT if dtype == np.float32 else _F64_LIMIT
+    return min(top - p, p * top // 8)
+
+
 def _plan(p: int) -> tuple[type | None, int]:
-    """Dtype and block cap keeping b*(p-1)^2 below the mantissa limit."""
+    """Dtype and pivots per panel b keeping (p-1) + b*(p-1)^2 within ``_limit``."""
     unit = (p - 1) ** 2
-    if unit == 0:
-        return np.float32, _MAX_BLOCK
-    b32 = (_F32_LIMIT - 1) // unit
-    if b32 >= 8:
-        return np.float32, min(_MAX_BLOCK, int(b32))
-    b64 = (_F64_LIMIT - 1) // unit
-    if b64 >= 1:
-        return np.float64, min(_MAX_BLOCK, int(b64))
+    for dtype, least in ((np.float32, 8), (np.float64, 1)):
+        b = (_limit(p, dtype) - (p - 1)) // unit
+        if b >= least:
+            return dtype, min(_MAX_BLOCK, b)
     return None, 0
 
 
-def _rank_inplace(A: np.ndarray, p: int, block: int) -> int:
-    """LU rank of A, destroying A; entries must already be residues."""
+def _reduce(X: np.ndarray, p: int) -> None:
+    """X <- a representative of X mod p in (-p, p), in place.
+
+    Entries must be integers of magnitude at most ``_limit``; then
+    rint(X * (1/p)) is floor or ceil of X/p, and every step is exact.
+    """
+    t = X * (1.0 / p)
+    np.rint(t, out=t)
+    t *= p
+    X -= t
+
+
+def _panel(A: np.ndarray, p: int, r0: int, c0: int, kmax: int) -> tuple[int, int]:
+    """Find up to kmax pivots on rows r0.. scanning columns from c0.
+
+    Crout order: a column is brought up to date (one GEMV against the
+    panel's multipliers) and reduced only when it is searched, and a pivot
+    row only when it is chosen, then over every column past its pivot.
+    Pivot columns are swapped to c0..c0+k-1, where they hold the reduced
+    multipliers below their pivot; rows r0..r0+k-1 become the pivot rows,
+    reduced from their pivot on.  Returns k and the first unscanned column.
+    """
     m, n = A.shape
+    r = r0
+    for j in range(c0, n):
+        k = r - r0
+        c = c0 + k
+        column = A[r:, j]
+        if k:
+            column -= A[r:, c0:c] @ A[r0:r, j]
+        _reduce(column, p)
+        nz = column.nonzero()[0]
+        if nz.size == 0:
+            continue
+        if j != c:
+            A[r0:, [c, j]] = A[r0:, [j, c]]
+        piv = r + int(nz[0])
+        if piv != r:
+            A[[r, piv], c0:] = A[[piv, r], c0:]
+        row = A[r, j + 1 :]
+        if k:
+            row -= A[r, c0:c] @ A[r0:r, j + 1 :]
+        _reduce(row, p)
+        mults = A[r + 1 :, c]
+        mults *= pow(int(A[r, c]) % p, p - 2, p)
+        _reduce(mults, p)
+        r += 1
+        if r == m or r - r0 == kmax:
+            return r - r0, j + 1
+    return r - r0, n
+
+
+def _rank_inplace(A: np.ndarray, p: int, block: int) -> int:
+    """Rank of A over GF(p); entries must be residues, A may be overwritten.
+
+    Zero rows and columns are dropped, and the rest is copied column-major
+    with the longer side as rows, so the panel loop runs over the shorter
+    side and reads contiguous columns.  Each panel collects up to ``block``
+    pivots (``_panel``); the rows below it then get one GEMM update against
+    its reduced pivot rows, left unreduced.  ``bound`` caps the magnitude
+    of the active block, which is reduced only when the next panel's
+    updates could carry it past ``_limit``.
+    """
+    rows, cols = A.any(axis=1).nonzero()[0], A.any(axis=0).nonzero()[0]
+    if rows.size >= cols.size:
+        A = A.T[np.ix_(cols, rows)].T
+    else:
+        A = A[np.ix_(rows, cols)].T
+    m, n = A.shape
+    limit = _limit(p, A.dtype)
+    unit = (p - 1) ** 2
+    bound = p - 1
     rank = 0
     col = 0
     while rank < m and col < n:
-        b = min(block, n - col)
-        pivcols: list[int] = []
-        r = rank
-        for j in range(col, col + b):
-            if r >= m:
-                break
-            nz = np.nonzero(A[r:m, j])[0]
-            if nz.size == 0:
-                continue
-            piv = r + int(nz[0])
-            if piv != r:
-                A[[r, piv], :] = A[[piv, r], :]
-            inv = float(pow(int(A[r, j]), p - 2, p))
-            if r + 1 < m:
-                mults = np.mod(A[r + 1 : m, j] * inv, p)
-                A[r + 1 : m, j] = mults
-                if j + 1 < col + b:
-                    A[r + 1 : m, j + 1 : col + b] = np.mod(
-                        A[r + 1 : m, j + 1 : col + b]
-                        - np.outer(mults, A[r, j + 1 : col + b]),
-                        p,
-                    )
-            pivcols.append(j)
-            r += 1
-        k = len(pivcols)
-        if k and col + b < n:
-            trail = A[rank : rank + k, col + b : n]
-            lower = A[rank : rank + k, pivcols]
-            for i in range(1, k):
-                trail[i] = np.mod(trail[i] - lower[i, :i] @ trail[:i], p)
-            below = A[rank + k : m, pivcols]
-            if below.shape[0]:
-                A[rank + k : m, col + b : n] = np.mod(
-                    A[rank + k : m, col + b : n] - below @ trail, p
-                )
+        if bound + block * unit > limit:
+            _reduce(A[rank:, col:], p)
+            bound = p - 1
+        k, c1 = _panel(A, p, rank, col, block)
         rank += k
-        col += b
+        if k and c1 < n and rank < m:
+            # F-order operands: the transposed product is C-order, so the
+            # update reads and writes both sides in memory order
+            A[rank:, c1:] -= (A[rank - k : rank, c1:].T @ A[rank:, col : col + k].T).T
+            bound += k * unit
+        col = c1
     return rank
 
 
 def rank_mod_p(matrix, p: int) -> int:
     """Rank of an integer matrix over GF(p)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     A = np.asarray(matrix)
     if A.ndim != 2:
         raise ValueError("expected a two dimensional array")
@@ -243,7 +309,6 @@ def multiplication_rank(
     g: Polynomial,
     caps: Sequence[int],
     weights: Sequence[int] | None = None,
-    use_duality: bool = True,
 ) -> int:
     """Rank of multiplication by g on GF(p)[x]/(x_i^{caps_i}).
 
@@ -300,7 +365,7 @@ def multiplication_rank(
     center = socle - deg_g
     rank = 0
     for j, src in blocks.items():
-        if use_duality and 2 * j > center:
+        if 2 * j > center:
             continue
         tgt = blocks.get(j + deg_g)
         if tgt is None or len(tgt) == 0:
@@ -308,13 +373,8 @@ def multiplication_rank(
         else:
             mat = _block_matrix(g, caps_arr, exps, strides, pos, src, len(tgt), dtype)
             block_rank = _rank_inplace(mat, p, block)
-        if use_duality and 2 * j < center:
+        if 2 * j < center:
             rank += 2 * block_rank
         else:
             rank += block_rank
     return rank
-
-
-def box_dimension(caps: Sequence[int]) -> int:
-    """Vector space dimension of GF(p)[x]/(x_i^{caps_i})."""
-    return math.prod(int(c) for c in caps)

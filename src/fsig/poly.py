@@ -8,7 +8,7 @@ multiplication and reduction is O(1).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .field import PrimeFieldElement, inverse_mod, is_prime
 
@@ -489,21 +489,3 @@ def parse_polynomial(text: str, p: int, nvars: int, names: Iterable[str] | None 
     if tok is not None:
         raise ParseError(f"trailing input starting with {tok[1]!r}", tok[2])
     return result
-
-
-def iter_box_monomials(caps: tuple[int, ...]) -> Iterator[Monomial]:
-    """All exponent tuples with 0 <= e_i < caps[i], in odometer order."""
-    if any(c <= 0 for c in caps):
-        return
-    cur = [0] * len(caps)
-    while True:
-        yield tuple(cur)
-        i = len(caps) - 1
-        while i >= 0:
-            cur[i] += 1
-            if cur[i] < caps[i]:
-                break
-            cur[i] = 0
-            i -= 1
-        if i < 0:
-            return

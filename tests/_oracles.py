@@ -9,9 +9,34 @@ these on every case small enough to enumerate.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Iterator
 
-from fsig.poly import Polynomial, iter_box_monomials
+from fsig.poly import Polynomial
+
+
+def iter_box_monomials(caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """All exponent tuples with 0 <= e_i < caps[i], in odometer order."""
+    if any(c <= 0 for c in caps):
+        return
+    cur = [0] * len(caps)
+    while True:
+        yield tuple(cur)
+        i = len(caps) - 1
+        while i >= 0:
+            cur[i] += 1
+            if cur[i] < caps[i]:
+                break
+            cur[i] = 0
+            i -= 1
+        if i < 0:
+            return
+
+
+def box_dimension(caps: tuple[int, ...]) -> int:
+    """Vector space dimension of GF(p)[x]/(x_i^{caps_i})."""
+    return math.prod(int(c) for c in caps)
 
 
 def invariant_monomial_count(n: int, weights: tuple[int, ...], q: int) -> int:

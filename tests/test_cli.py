@@ -167,6 +167,15 @@ def test_bounds_provisional_sequence(tmp_path):
     assert lo <= 2 <= hi
 
 
+def test_bounds_sequence_single_record(tmp_path):
+    doc = {"ring": {"type": "hypersurface", "p": 3, "nvars": 3, "f": "x0*x1 - x2^2"}}
+    code, report = run(tmp_path, "bounds", doc, "--e-max", "1")
+    assert code == 0
+    assert report["details"]["provisional"] is True
+    lo, hi = report["details"]["s_interval"]
+    assert lo == hi == report["bound_report"]["s"] == "5/9"
+
+
 def test_bounds_veronese(tmp_path):
     code, report = run(tmp_path, "bounds", {"veronese": {"d_vars": 3, "m": 4, "p": 5}})
     assert code == 0

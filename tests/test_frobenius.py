@@ -48,6 +48,13 @@ def test_a1_colon_route_agrees():
         )
 
 
+def test_colon_route_rejects_infinite_length(monkeypatch):
+    # a typed error rather than an assert, so the check survives python -O
+    monkeypatch.setattr("fsig.frobenius.quotient_length", lambda ideal: math.inf)
+    with pytest.raises(ValueError):
+        splitting_number(a1_surface(), None, 1, method="colon")
+
+
 def test_a1_brute_force_agrees():
     ring = a1_surface()
     q = 3

@@ -2,10 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from fsig import linalg
 from fsig.linalg import (
-    box_dimension,
     find_positive_weights,
     multiplication_rank,
     rank_mod_p,
@@ -14,13 +15,20 @@ from fsig.linalg import (
 )
 from fsig.poly import Polynomial, parse_polynomial
 
-from _oracles import brute_colon_complement_length
+from _oracles import box_dimension, brute_colon_complement_length
 
 
 def test_rank_small_known():
     assert rank_mod_p([[1, 2], [2, 4]], 5) == 1
     assert rank_mod_p([[1, 0], [0, 1]], 5) == 2
     assert rank_mod_p([[5, 10], [15, 20]], 5) == 0
+
+
+def test_rank_rejects_composite_modulus():
+    with pytest.raises(ValueError):
+        rank_mod_p([[1, 2], [3, 4]], 1)
+    with pytest.raises(ValueError):
+        rank_mod_p([[1, 2], [3, 4]], 6)
 
 
 def test_rank_matches_reference_random():
@@ -34,9 +42,72 @@ def test_rank_matches_reference_random():
 
 def test_rank_large_prime_falls_back_exactly():
     # Primes too large for the float path must still be exact.
-    p = 2**13 - 1
+    p = 2**31 - 1
+    assert linalg._plan(p) == (None, 0)
     mat = [[1, p - 1], [p - 1, 1]]
     assert rank_mod_p(mat, p) == rank_mod_p_reference(mat, p) == 1
+
+
+def known_rank(rng, m, n, r, p, zero_rows=0, zero_cols=0):
+    """L @ R mod p of rank exactly r, padded with zero rows and columns.
+
+    L holds an r x r identity in r random rows and R one in r random
+    columns, so both have full rank r over GF(p) and so does L @ R.
+    """
+    left = rng.integers(0, p, (m, r), dtype=np.int64)
+    left[rng.permutation(m)[:r]] = np.eye(r, dtype=np.int64)
+    right = rng.integers(0, p, (r, n), dtype=np.int64)
+    right[:, rng.permutation(n)[:r]] = np.eye(r, dtype=np.int64)
+    mat = (left @ right) % p
+    mat = np.insert(mat, rng.integers(0, m + 1, zero_rows), 0, axis=0)
+    return np.insert(mat, rng.integers(0, n + 1, zero_cols), 0, axis=1)
+
+
+# (rows, columns, rank, zero rows, zero columns): below and above one
+# 128-pivot panel, tall and wide, with all-zero rows and columns
+SHAPES = [
+    (1, 1, 1, 0, 0),
+    (9, 5, 3, 2, 1),
+    (40, 12, 7, 0, 3),
+    (30, 90, 30, 4, 0),
+    (300, 40, 25, 5, 5),
+    (45, 260, 40, 3, 7),
+    (200, 190, 150, 6, 4),
+    (140, 300, 135, 0, 0),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 1021, 4093, 8191])
+def test_rank_low_rank_matches_reference(p):
+    rng = np.random.default_rng(p)
+    for m, n, r, zr, zc in SHAPES:
+        mat = known_rank(rng, m, n, r, p, zr, zc)
+        assert rank_mod_p(mat, p) == r, (p, m, n, r)
+        # the pure-Python reference takes seconds on the larger shapes
+        if m * n * r <= 200_000:
+            assert rank_mod_p_reference(mat.tolist(), p) == r
+
+
+def test_rank_delayed_reduction_triggers(monkeypatch):
+    # At p = 1021 a float32 panel holds 16 pivots, so rank 60 needs
+    # several panels and the trailing block must be reduced between them.
+    p = 1021
+    assert linalg._plan(p) == (np.float32, 16)
+    whole_block = []
+    reduce = linalg._reduce
+
+    def spy(X, p):
+        if X.ndim == 2:
+            whole_block.append(X.shape)
+        reduce(X, p)
+
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    rng = np.random.default_rng(7)
+    mat = known_rank(rng, 220, 240, 60, p, 3, 2)
+    assert rank_mod_p(mat, p) == 60
+    assert whole_block
+    full = known_rank(rng, 40, 60, 40, p)
+    assert rank_mod_p(full, p) == rank_mod_p_reference(full.tolist(), p) == 40
 
 
 def test_rational_nullspace_simple():
