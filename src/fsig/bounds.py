@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import CoverDescriptor, _build_cover, quotient_cover
-from .frobenius import RingPresentation, SplittingSequence, fsig_sequence
+from .frobenius import RingPresentation, fsig_sequence
 from .toric import (
     ToricRing,
     TorusQDivisor,
@@ -80,7 +80,7 @@ def pi1_order_bound(ring: ToricRing, delta: TorusQDivisor | None = None) -> Boun
 
 
 def pi1_order_bound_sequence(
-    ring: RingPresentation,
+    ring: RingPresentation | ToricRing,
     delta=None,
     e_max: int = 3,
     deadline: float | None = None,

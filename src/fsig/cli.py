@@ -20,6 +20,7 @@ from pathlib import Path
 import jsonschema
 
 from .bounds import (
+    BoundReport,
     index_bound,
     pi1_order_bound,
     pi1_order_bound_sequence,
@@ -38,13 +39,7 @@ from .covers import (
     verify_note_trace,
     verify_transformation,
 )
-from .frobenius import (
-    BudgetExceeded,
-    RingPresentation,
-    SplittingRecord,
-    fsig_sequence,
-    sequence_diagnostics,
-)
+from .frobenius import BudgetExceeded, fsig_sequence
 from .poly import ParseError
 from .serialize import (
     along_index,
@@ -57,13 +52,7 @@ from .serialize import (
     strip_timing,
     validate_document,
 )
-from .toric import (
-    SimplicialityError,
-    ToricRing,
-    TorusQDivisor,
-    toric_fsig_exact,
-    toric_splitting_number,
-)
+from .toric import SimplicialityError, ToricRing, TorusQDivisor, toric_fsig_exact
 
 
 class VerificationFailure(Exception):
@@ -95,13 +84,6 @@ def _emit(report: dict, table: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _deadline(options: dict, args) -> float | None:
-    budget = args.budget if args.budget is not None else options.get("time_budget_secs")
-    if budget is None:
-        return None
-    return time.monotonic() + float(budget)
-
-
 def _load_document(args) -> dict:
     with open(args.spec) as handle:
         doc = json.load(handle)
@@ -109,25 +91,32 @@ def _load_document(args) -> dict:
     return doc
 
 
-def _options(doc: dict, args) -> dict:
+def _ring_request(doc: dict, args):
+    """The ring, pair, backend, e_max and deadline of a compute/bounds/purity document.
+
+    The backend is resolved once for all three commands: ``auto`` takes
+    the exact lattice path iff the ring is toric, ``toric`` refuses a
+    presentation, and ``sequence`` runs the truncated splitting-number
+    sequence on either kind of ring.
+    """
     options = dict(doc.get("options", {}))
-    if args.e_max is not None:
-        options["e_max"] = args.e_max
-    if args.backend is not None:
-        options["backend"] = args.backend
-    return options
+    flags = {"e_max": args.e_max, "backend": args.backend, "time_budget_secs": args.budget}
+    options.update((key, value) for key, value in flags.items() if value is not None)
+    if "ring" not in doc:
+        raise ValueError(f"{args.command} needs a ring")
+    ring = build_ring(doc["ring"])
+    delta = build_pair(doc["pair"], ring) if "pair" in doc else None
+    backend = options.get("backend", "auto")
+    if backend == "auto":
+        backend = "toric" if isinstance(ring, ToricRing) else "sequence"
+    elif backend == "toric" and not isinstance(ring, ToricRing):
+        raise ValueError("backend=toric requires a toric or quotient ring")
+    budget = options.get("time_budget_secs")
+    deadline = None if budget is None else time.monotonic() + budget
+    return ring, delta, backend, options.get("e_max", 3), deadline
 
 
 # -- compute -----------------------------------------------------------------
-
-
-def _toric_records(ring: ToricRing, delta, e_max: int) -> list[SplittingRecord]:
-    records = []
-    for e in range(1, e_max + 1):
-        q = ring.p**e
-        a_e = toric_splitting_number(ring, delta, e)
-        records.append(SplittingRecord(e, q, a_e, Fraction(a_e, q**ring.d)))
-    return records
 
 
 def _record_rows(records) -> list[list[str]]:
@@ -139,61 +128,36 @@ def _record_rows(records) -> list[list[str]]:
 
 
 def cmd_compute(doc: dict, args) -> tuple[dict, str, int]:
-    options = _options(doc, args)
-    backend = options.get("backend", "auto")
-    e_max = options.get("e_max", 3)
-    if "ring" not in doc:
-        raise ValueError("compute needs a ring")
-    ring = build_ring(doc["ring"])
-    delta = build_pair(doc["pair"], ring) if "pair" in doc else None
-    started = time.monotonic()
-    if backend == "auto":
-        backend = "toric" if isinstance(ring, ToricRing) else "sequence"
+    ring, delta, backend, e_max, deadline = _ring_request(doc, args)
     if backend == "toric":
-        if not isinstance(ring, ToricRing):
-            raise ValueError("backend=toric requires a toric or quotient ring")
         s = toric_fsig_exact(ring, delta)
         report = {
-            "command": "compute",
             "backend": "toric",
             "ring": doc["ring"],
             "pair": doc.get("pair"),
             "exact": True,
             "s": fraction_string(s),
-            "timing": {"seconds": time.monotonic() - started},
         }
         table = _table(["s (exact)", "decimal"], [[fraction_string(s), f"{float(s):.6f}"]])
         return report, table, 0
-    deadline = _deadline(options, args)
-    if isinstance(ring, ToricRing):
-        records = _toric_records(ring, delta, e_max)
-        extrapolated, consistent, monotone = sequence_diagnostics(records)
-        dimension = ring.d
-        note = "window counts; estimate only, not the exact limit"
-    else:
-        seq = fsig_sequence(ring, delta, e_max=e_max, deadline=deadline)
-        records = seq.records
-        extrapolated, consistent, monotone = seq.extrapolated, seq.consistent, seq.monotone
-        dimension = ring.d
-        note = seq.note
+    seq = fsig_sequence(ring, delta, e_max=e_max, deadline=deadline)
+    extrapolated = seq.extrapolated
     report = {
-        "command": "compute",
         "backend": "sequence",
         "ring": doc["ring"],
         "pair": doc.get("pair"),
         "exact": False,
-        "dimension": dimension,
+        "dimension": ring.d,
         "records": [
             {"e": r.e, "q": r.q, "a_e": r.a_e, "normalized": fraction_string(r.normalized)}
-            for r in records
+            for r in seq.records
         ],
         "extrapolated": fraction_string(extrapolated) if extrapolated is not None else None,
-        "consistent": consistent,
-        "monotone": monotone,
-        "note": note,
-        "timing": {"seconds": time.monotonic() - started},
+        "consistent": seq.consistent,
+        "monotone": seq.monotone,
+        "note": seq.note,
     }
-    table = _table(["e", "q", "a_e", "a_e/q^d", "decimal"], _record_rows(records))
+    table = _table(["e", "q", "a_e", "a_e/q^d", "decimal"], _record_rows(seq.records))
     if extrapolated is not None:
         table += f"\nextrapolated: {fraction_string(extrapolated)} ~ {float(extrapolated):.6f}"
     return report, table, 0
@@ -225,7 +189,6 @@ def _build_cover_from_doc(cover_doc: dict):
 def cmd_verify(doc: dict, args) -> tuple[dict, str, int]:
     if "cover" not in doc:
         raise ValueError("verify needs a cover")
-    started = time.monotonic()
     cover, delta = _build_cover_from_doc(doc["cover"])
     checks: list[tuple[str, bool, str]] = []
     transformation = verify_transformation(cover, delta)
@@ -257,7 +220,6 @@ def cmd_verify(doc: dict, args) -> tuple[dict, str, int]:
         ))
     ok = all(passed for _, passed, _ in checks)
     report = {
-        "command": "verify",
         "cover": doc["cover"],
         "degree": cover.degree,
         "residue_degree": cover.residue_degree,
@@ -292,7 +254,6 @@ def cmd_verify(doc: dict, args) -> tuple[dict, str, int]:
         "trace_summands": summands,
         "degree_matches_spec": degree_ok,
         "ok": ok,
-        "timing": {"seconds": time.monotonic() - started},
     }
     rows = [[name, "PASS" if passed else "FAIL", detail] for name, passed, detail in checks]
     table = _table(["check", "result", "detail"], rows)
@@ -303,8 +264,6 @@ def cmd_verify(doc: dict, args) -> tuple[dict, str, int]:
 
 
 def cmd_bounds(doc: dict, args) -> tuple[dict, str, int]:
-    options = _options(doc, args)
-    started = time.monotonic()
     if "veronese" in doc:
         v = doc["veronese"]
         bound = veronese_bound(v["d_vars"], v["m"], v["p"])
@@ -321,21 +280,13 @@ def cmd_bounds(doc: dict, args) -> tuple[dict, str, int]:
                 f"class order {rep.order} exceeds the bound {rep.bound}"
             )
         report = {
-            "command": "bounds",
-            "bound_report": {
-                "s": fraction_string(rep.s),
-                "exact": True,
-                "bound": rep.bound,
-                "prime_to_p": ring.p,
-                "theorem": "index",
-            },
+            "bound_report": BoundReport(rep.s, True, rep.bound, ring.p, rep.theorem).core_json(),
             "details": {
                 "class_order": rep.order,
                 "cover_degree": rep.cover.degree,
                 "cover_etale_in_codim1": rep.cover.etale_in_codim1,
                 "provisional": False,
             },
-            "timing": {"seconds": time.monotonic() - started},
         }
         table = _table(
             ["order", "bound", "s", "cover degree", "etale c1"],
@@ -346,15 +297,11 @@ def cmd_bounds(doc: dict, args) -> tuple[dict, str, int]:
     else:
         if "ring" not in doc:
             raise ValueError("bounds needs a ring, a veronese block, or a divisor_class")
-        ring = build_ring(doc["ring"])
-        delta = build_pair(doc["pair"], ring) if "pair" in doc else None
-        if isinstance(ring, ToricRing):
+        ring, delta, backend, e_max, deadline = _ring_request(doc, args)
+        if backend == "toric":
             bound = pi1_order_bound(ring, delta)
         else:
-            deadline = _deadline(options, args)
-            bound = pi1_order_bound_sequence(
-                ring, delta, e_max=options.get("e_max", 3), deadline=deadline
-            )
+            bound = pi1_order_bound_sequence(ring, delta, e_max=e_max, deadline=deadline)
         details = {
             "attained": bound.attained,
             "note": bound.note,
@@ -364,12 +311,7 @@ def cmd_bounds(doc: dict, args) -> tuple[dict, str, int]:
             details["s_interval"] = [fraction_string(x) for x in bound.s_interval]
         if bound.bound_interval is not None:
             details["bound_interval"] = list(bound.bound_interval)
-    report = {
-        "command": "bounds",
-        "bound_report": bound.core_json(),
-        "details": details,
-        "timing": {"seconds": time.monotonic() - started},
-    }
+    report = {"bound_report": bound.core_json(), "details": details}
     table = _table(
         ["s", "exact", "bound", "prime to", "theorem"],
         [[fraction_string(bound.s), str(bound.exact), str(bound.bound),
@@ -384,13 +326,11 @@ def cmd_bounds(doc: dict, args) -> tuple[dict, str, int]:
 def cmd_chain(doc: dict, args) -> tuple[dict, str, int]:
     if "ring" not in doc:
         raise ValueError("chain needs a ring")
-    started = time.monotonic()
     ring = build_ring(doc["ring"])
     if not isinstance(ring, ToricRing) or ring.group_order is None:
         raise ValueError("chain simulation needs a quotient ring")
     chain = chain_simulation(ring)
     report = {
-        "command": "chain",
         "ring": doc["ring"],
         "steps": [
             {
@@ -406,7 +346,6 @@ def cmd_chain(doc: dict, args) -> tuple[dict, str, int]:
         "s_values": [fraction_string(s) for s in chain.s_values],
         "stabilization_index": chain.stabilization_index,
         "ok": chain.ok,
-        "timing": {"seconds": time.monotonic() - started},
     }
     rows = [
         [str(i), step.lower.label, step.upper.label, str(step.degree),
@@ -426,21 +365,15 @@ def cmd_chain(doc: dict, args) -> tuple[dict, str, int]:
 
 
 def cmd_purity(doc: dict, args) -> tuple[dict, str, int]:
-    options = _options(doc, args)
-    if "ring" not in doc:
-        raise ValueError("purity needs a ring")
-    started = time.monotonic()
-    ring = build_ring(doc["ring"])
-    delta = build_pair(doc["pair"], ring) if "pair" in doc else None
-    if isinstance(ring, ToricRing):
+    ring, delta, backend, e_max, deadline = _ring_request(doc, args)
+    if backend == "toric":
         verdict = purity_check(ring, delta)
     else:
-        deadline = _deadline(options, args)
-        seq = fsig_sequence(ring, delta, e_max=options.get("e_max", 3), deadline=deadline)
+        seq = fsig_sequence(ring, delta, e_max=e_max, deadline=deadline)
         conservative = min(seq.records[-1].normalized, seq.estimate)
         verdict = purity_from_value(conservative, ring.p, exact=False, provisional=True)
+    bound = math.floor(1 / verdict.s) if verdict.s > 0 else 0
     report = {
-        "command": "purity",
         "ring": doc["ring"],
         "purity": {
             "forced": verdict.forced,
@@ -453,14 +386,7 @@ def cmd_purity(doc: dict, args) -> tuple[dict, str, int]:
             "admits_nontrivial_etale_cover": verdict.admits_nontrivial_etale_cover,
             "cover_degrees_found": [c.degree for c in verdict.covers_found],
         },
-        "bound_report": {
-            "s": fraction_string(verdict.s),
-            "exact": verdict.exact,
-            "bound": math.floor(1 / verdict.s) if verdict.s > 0 else 0,
-            "prime_to_p": ring.p,
-            "theorem": "C",
-        },
-        "timing": {"seconds": time.monotonic() - started},
+        "bound_report": BoundReport(verdict.s, verdict.exact, bound, ring.p, "C").core_json(),
     }
     table = _table(
         ["s", "threshold", "clause", "forced", "boundary"],
@@ -495,6 +421,8 @@ COMMANDS = {
     "chain": cmd_chain,
     "purity": cmd_purity,
 }
+# The commands that read a ring through _ring_request, and so its options.
+RING_COMMANDS = ("compute", "bounds", "purity")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,9 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--spec", required=True, help="JSON spec document")
         cmd.add_argument("--out", help="write the JSON report here (default: stdout)")
-        cmd.add_argument("--e-max", dest="e_max", type=int, default=None)
-        cmd.add_argument("--backend", choices=["auto", "toric", "sequence"], default=None)
-        cmd.add_argument("--budget", type=float, default=None, help="time budget in seconds")
+        if name in RING_COMMANDS:
+            cmd.add_argument("--e-max", dest="e_max", type=int, default=None)
+            cmd.add_argument("--backend", choices=["auto", "toric", "sequence"], default=None)
+            cmd.add_argument("--budget", type=float, default=None, help="time budget in seconds")
         cmd.add_argument("--golden", help="directory of regression goldens")
     return parser
 
@@ -518,6 +447,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = _load_document(args)
+        started = time.monotonic()
         report, table, code = COMMANDS[args.command](doc, args)
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
@@ -540,6 +470,8 @@ def main(argv=None) -> int:
         message = getattr(exc, "message", None) or str(exc)
         print(f"input error: {message.splitlines()[0]}", file=sys.stderr)
         return 2
+    report["command"] = args.command
+    report["timing"] = {"seconds": time.monotonic() - started}
     _emit(report, table, args.out)
     if args.golden:
         note, golden_code = _golden_compare(report, args)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test; inputs here are small word-sized integers."""
@@ -19,77 +17,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-@dataclass(frozen=True)
-class PrimeFieldElement:
-    """A residue in GF(p), normalized to the range [0, p).
-
-    The modulus must be prime; arithmetic between elements of different
-    moduli is rejected.  ``Polynomial`` stores raw integer residues for
-    speed, and this class is the value type at the API boundary.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other: PrimeFieldElement | int) -> PrimeFieldElement:
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.modulus)
-        if not isinstance(other, PrimeFieldElement):
-            raise TypeError(f"cannot combine PrimeFieldElement with {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} != {other.modulus}")
-        return other
-
-    def __add__(self, other: PrimeFieldElement | int) -> PrimeFieldElement:
-        other = self._coerce(other)
-        return PrimeFieldElement(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: PrimeFieldElement | int) -> PrimeFieldElement:
-        other = self._coerce(other)
-        return PrimeFieldElement(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other: PrimeFieldElement | int) -> PrimeFieldElement:
-        return self._coerce(other) - self
-
-    def __mul__(self, other: PrimeFieldElement | int) -> PrimeFieldElement:
-        other = self._coerce(other)
-        return PrimeFieldElement(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> PrimeFieldElement:
-        return PrimeFieldElement(-self.value, self.modulus)
-
-    def inverse(self) -> PrimeFieldElement:
-        if self.value == 0:
-            raise ZeroDivisionError("cannot invert the zero element")
-        return PrimeFieldElement(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __truediv__(self, other: PrimeFieldElement | int) -> PrimeFieldElement:
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other: PrimeFieldElement | int) -> PrimeFieldElement:
-        return self._coerce(other) / self
-
-    def __pow__(self, k: int) -> PrimeFieldElement:
-        if k < 0:
-            return self.inverse() ** (-k)
-        return PrimeFieldElement(pow(self.value, k, self.modulus), self.modulus)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 def inverse_mod(a: int, p: int) -> int:

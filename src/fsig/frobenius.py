@@ -6,19 +6,22 @@ realization I_e = (m^[q] : f^(q-1) * prod g_j^(r_j)) in the ambient ring;
 splitting numbers are computed as the rank of multiplication by the same
 twist on P/m^[q], which equals the colon-quotient length and avoids large
 basis computations.  The two routes are cross-checked in the test suite.
+fsig_sequence also takes a toric ring, whose splitting numbers are the
+lattice window counts of fsig.toric.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .ideals import Ideal, colon_ideal, frobenius_power, ideal_sum, quotient_length
 from .linalg import find_positive_weights, multiplication_rank
 from .poly import Polynomial, default_names
+from .toric import ToricRing, TorusQDivisor, toric_splitting_number
 
 FLOOR_PE = "floor_pe"
 CEIL_PE_MINUS_1 = "ceil_pe_minus_1"
@@ -238,8 +241,8 @@ class SplittingSequence:
     from the lattice backend where one exists.
     """
 
-    ring: RingPresentation
-    delta: PairDivisor | None
+    ring: RingPresentation | ToricRing
+    delta: PairDivisor | TorusQDivisor | None
     records: list[SplittingRecord]
     last: Fraction
     extrapolated: Fraction | None
@@ -275,27 +278,41 @@ def sequence_diagnostics(records: list[SplittingRecord]) -> tuple[Fraction | Non
 
 
 def fsig_sequence(
-    ring: RingPresentation,
-    delta: PairDivisor | None = None,
+    ring: RingPresentation | ToricRing,
+    delta: PairDivisor | TorusQDivisor | None = None,
     e_max: int = 4,
     include_ideals: bool = False,
     deadline: float | None = None,
 ) -> SplittingSequence:
-    """Splitting numbers a_e for e = 1..e_max with the normalized estimate."""
+    """Splitting numbers a_e for e = 1..e_max with the normalized estimate.
+
+    A ToricRing (with a TorusQDivisor pair) takes its a_e from the lattice
+    window counts, a RingPresentation (with a PairDivisor) from the rank of
+    the colon twist.
+    """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
+    toric = isinstance(ring, ToricRing)
+    if toric and include_ideals:
+        raise ValueError("splitting ideals need a ring presentation")
     records: list[SplittingRecord] = []
     for e in range(1, e_max + 1):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"time budget exhausted before e = {e}", records)
         q = ring.p**e
-        a_e = splitting_number(ring, delta, e)
+        if toric:
+            a_e = toric_splitting_number(ring, delta, e)
+        else:
+            a_e = splitting_number(ring, delta, e)
         ideal = splitting_ideal(ring, delta, e) if include_ideals else None
         records.append(SplittingRecord(e, q, a_e, Fraction(a_e, q**ring.d), ideal))
     extrapolated, consistent, monotone = sequence_diagnostics(records)
-    return SplittingSequence(
+    sequence = SplittingSequence(
         ring, delta, records, records[-1].normalized, extrapolated, consistent, monotone
     )
+    if toric:
+        sequence.note = "window counts; " + sequence.note
+    return sequence
 
 
 @dataclass(frozen=True)

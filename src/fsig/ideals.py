@@ -183,9 +183,6 @@ class Ideal:
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self.groebner(GREVLEX), GREVLEX).is_zero()
 
-    def is_monomial_ideal(self) -> bool:
-        return all(g.is_monomial() for g in self.generators)
-
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal(GF({self.p}), <{inside}>)"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-from .field import PrimeFieldElement, inverse_mod, is_prime
+from .field import inverse_mod, is_prime
 
 Monomial = tuple[int, ...]
 
@@ -18,9 +18,6 @@ Monomial = tuple[int, ...]
 # integer linear algebra cannot overflow silently.
 MAX_EXPONENT = 2**30
 
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True when x^a divides x^b."""
@@ -32,9 +29,6 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-def monomial_degree(a: Monomial) -> int:
-    return sum(a)
 
 def monomial_coprime(a: Monomial, b: Monomial) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
@@ -174,12 +168,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def coefficient(self, m: Monomial) -> PrimeFieldElement:
-        return PrimeFieldElement(self.terms.get(tuple(m), 0), self.p)
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.nvars, 0)
-
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading monomial")
@@ -239,11 +227,7 @@ class Polynomial:
         p = self.p
         return self._raw({m: p - c for m, c in self.terms.items()})
 
-    def __mul__(self, other: Polynomial | int | PrimeFieldElement) -> Polynomial:
-        if isinstance(other, PrimeFieldElement):
-            if other.modulus != self.p:
-                raise ValueError("scalar from a different prime field")
-            other = other.value
+    def __mul__(self, other: Polynomial | int) -> Polynomial:
         if isinstance(other, int):
             return self.scale(other)
         self._check_ring(other)

@@ -275,10 +275,6 @@ class RationalCone:
                 raise ValueError(f"ray {r} is not primitive")
 
     @property
-    def dim(self) -> int:
-        return len(self.rays)
-
-    @property
     def facet_normals(self) -> tuple[Vector, ...]:
         return self.rays
 
@@ -341,9 +337,6 @@ class ToricRing:
     def nfacets(self) -> int:
         return self.d
 
-    def is_regular(self) -> bool:
-        return self.index == 1
-
     def embed(self, c: Sequence[int]) -> Vector:
         return tuple(
             sum(int(c[i]) * self.embedding[i][j] for i in range(self.d))
@@ -352,9 +345,6 @@ class ToricRing:
 
     def pairing(self, c: Sequence[int]) -> Vector:
         return tuple(sum(v[i] * int(c[i]) for i in range(self.d)) for v in self.normals)
-
-    def in_semigroup(self, c: Sequence[int]) -> bool:
-        return all(x >= 0 for x in self.pairing(c))
 
     def intrinsic_from_ambient(self, u: Sequence[int]) -> Vector | None:
         """Solve c @ embedding = u over the integers, or None."""
@@ -436,21 +426,24 @@ class ToricRing:
 
     def _enumerate_by_degree(self, bound: int) -> list[Vector]:
         """All semigroup elements with total facet degree <= bound."""
-        out = []
-        widths = [bound + 1] * self.d
-        total = math.prod(widths)
-        if total > 5_000_000:
-            raise ValueError("degree bound too large to enumerate")
+        cs = self._lattice_points([bound] * self.d, 5_000_000, "degree bound too large to enumerate")
+        degree = np.asarray(self.normals, dtype=np.int64).sum(axis=0) @ cs
+        return [tuple(c) for c in cs[:, degree <= bound].T.tolist()]
+
+    def _lattice_points(self, caps: Sequence[int], limit: int, error: str) -> np.ndarray:
+        """Lattice points c with 0 <= <v_F, c> <= caps[F], as a d x N int64 array.
+
+        Enumerates the pairing values y in the box and keeps those with
+        adj @ y divisible by det, which are exactly y = normals @ c.
+        Raises ValueError(error) when the box holds more than limit points.
+        """
+        widths = [int(c) + 1 for c in caps]
+        if math.prod(widths) > limit:
+            raise ValueError(error)
         grid = np.indices(widths).reshape(self.d, -1)
         adj = np.asarray(self._adj, dtype=np.int64)
-        det = self._det
-        ok = (adj @ grid) % abs(det) == 0
-        mask = np.all(ok, axis=0) & (grid.sum(axis=0) <= bound)
-        ys = grid[:, mask]
-        cs = (adj @ ys) // det
-        for k in range(cs.shape[1]):
-            out.append(tuple(int(x) for x in cs[:, k]))
-        return out
+        ys = grid[:, np.all((adj @ grid) % abs(self._det) == 0, axis=0)]
+        return (adj @ ys) // self._det
 
     def __repr__(self) -> str:
         return f"ToricRing(p={self.p}, {self.label})"
@@ -548,18 +541,9 @@ def _window_widths(ring: ToricRing, delta: TorusQDivisor | None, q: int) -> list
     return widths
 
 
-def _window_points(ring: ToricRing, widths: Sequence[int]) -> list[Vector]:
-    """Lattice points with 0 <= <v_F, c> <= widths[F] for every facet."""
-    total = math.prod(w + 1 for w in widths)
-    if total > 20_000_000:
-        raise ValueError("window too large to enumerate")
-    grid = np.indices([w + 1 for w in widths]).reshape(ring.d, -1)
-    adj = np.asarray(ring._adj, dtype=np.int64)
-    det = ring._det
-    ok = np.all((adj @ grid) % abs(det) == 0, axis=0)
-    ys = grid[:, ok]
-    cs = (adj @ ys) // det
-    return [tuple(int(x) for x in cs[:, k]) for k in range(cs.shape[1])]
+def _window_points(ring: ToricRing, widths: Sequence[int]) -> np.ndarray:
+    """Lattice points with 0 <= <v_F, c> <= widths[F] for every facet, one per column."""
+    return ring._lattice_points(widths, 20_000_000, "window too large to enumerate")
 
 
 def toric_splitting_number(ring: ToricRing, delta: TorusQDivisor | None = None, e: int = 1) -> int:
@@ -570,7 +554,7 @@ def toric_splitting_number(ring: ToricRing, delta: TorusQDivisor | None = None, 
     widths = _window_widths(ring, delta, q)
     if widths is None:
         return 0
-    return len(_window_points(ring, widths))
+    return _window_points(ring, widths).shape[1]
 
 
 def toric_splitting_certificates(
@@ -588,7 +572,7 @@ def toric_splitting_certificates(
     widths = _window_widths(ring, delta, q)
     free_widths = [q - 1] * ring.nfacets
     certs: dict[Vector, FreeClassCertificate] = {}
-    for w in _window_points(ring, free_widths):
+    for w in map(tuple, _window_points(ring, free_widths).T.tolist()):
         residue = tuple(x % q for x in w)
         counted = widths is not None and all(
             x <= limit for x, limit in zip(ring.pairing(w), widths)
@@ -630,19 +614,10 @@ def toric_splitting_certificates(
 
 def _class_points_below(ring: ToricRing, residue: Vector, q: int, caps: Sequence[int]) -> list[Vector]:
     """Class members v = residue mod q with 0 <= <v_F, v> <= caps[F]."""
-    total = math.prod(int(c) + 1 for c in caps)
-    if total > 5_000_000:
-        raise ValueError("lower set too large to enumerate")
-    grid = np.indices([int(c) + 1 for c in caps]).reshape(ring.d, -1)
-    adj = np.asarray(ring._adj, dtype=np.int64)
-    det = ring._det
-    ok = np.all((adj @ grid) % abs(det) == 0, axis=0)
-    ys = grid[:, ok]
-    cs = (adj @ ys) // det
+    cs = ring._lattice_points(caps, 5_000_000, "lower set too large to enumerate")
     res = np.asarray(residue, dtype=np.int64)
     match = np.all((cs - res[:, None]) % q == 0, axis=0)
-    cs = cs[:, match]
-    return [tuple(int(x) for x in cs[:, k]) for k in range(cs.shape[1])]
+    return [tuple(c) for c in cs[:, match].T.tolist()]
 
 
 def _minimal_elements(ring: ToricRing, points: list[Vector]) -> list[Vector]:

@@ -269,3 +269,46 @@ def test_reports_are_deterministic(tmp_path):
     _, one = run(tmp_path, "compute", QUOTIENT_13)
     _, two = run(tmp_path, "compute", QUOTIENT_13)
     assert strip_timing(one) == strip_timing(two)
+
+
+QUOTIENT_1_5 = {"ring": {"type": "quotient", "n": 5, "weights": [1, 2], "p": 3}}
+A1_HYPERSURFACE = {"ring": {"type": "hypersurface", "p": 3, "nvars": 3, "f": "x*y - z^2",
+                            "names": ["x", "y", "z"]}}
+
+
+def test_compute_window_sequence_honours_budget(tmp_path):
+    doc = {"ring": {"type": "quotient", "n": 7, "weights": [1, 2, 4], "p": 3}}
+    code, report = run(tmp_path, "compute", doc, "--backend", "sequence",
+                       "--budget", "0.01", "--e-max", "5")
+    assert code == 3
+    assert report is None
+
+
+@pytest.mark.parametrize("command", ["bounds", "purity"])
+def test_sequence_backend_on_toric_ring(tmp_path, command):
+    doc = dict(QUOTIENT_1_5, options={"backend": "sequence"})
+    code, report = run(tmp_path, command, doc)
+    assert code == 0
+    assert report["bound_report"]["exact"] is False
+    if command == "bounds":
+        assert report["details"]["provisional"] is True
+        assert report["bound_report"]["bound"] == 4
+        assert report["details"]["s_interval"] == ["146/729", "49/243"]
+    else:
+        assert report["purity"]["provisional"] is True
+        assert report["purity"]["exact"] is False
+
+
+@pytest.mark.parametrize("command", ["bounds", "purity"])
+def test_toric_backend_rejects_presentation(tmp_path, command):
+    code, report = run(tmp_path, command, A1_HYPERSURFACE, "--backend", "toric")
+    assert code == 2
+    assert report is None
+
+
+@pytest.mark.parametrize("command", ["verify", "chain"])
+def test_sequence_flags_refused_where_unread(tmp_path, command):
+    spec = write_spec(tmp_path, "spec.json", A1_COVER if command == "verify" else QUOTIENT_13)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", spec, "--budget", "5"])
+    assert exc.value.code == 2

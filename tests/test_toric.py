@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fsig.frobenius import fsig_sequence
 from fsig.toric import (
     RationalCone,
     SimplicialityError,
@@ -150,6 +151,17 @@ def test_exact_signature_is_limit_of_windows():
     q = 7**2
     approx = Fraction(toric_splitting_number(ring, None, 2), q**2)
     assert abs(approx - s) < Fraction(2, q)
+
+
+def test_fsig_sequence_takes_window_counts_on_toric_ring():
+    ring = quotient_singularity(3, (1, 1), 5)
+    delta = TorusQDivisor.of(["1/2", 0])
+    seq = fsig_sequence(ring, delta, e_max=2)
+    assert [r.a_e for r in seq.records] == [toric_splitting_number(ring, delta, e) for e in (1, 2)]
+    assert [r.normalized for r in seq.records] == [Fraction(5, 25), Fraction(109, 625)]
+    assert seq.note.startswith("window counts")
+    with pytest.raises(ValueError, match="ring presentation"):
+        fsig_sequence(ring, e_max=1, include_ideals=True)
 
 
 # -- certificates ---------------------------------------------------------------
