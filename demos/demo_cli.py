@@ -15,8 +15,6 @@ import subprocess
 import sys
 import tempfile
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="fsig-demo-"))
-
 documents = {
     "quotient.json": {
         "ring": {"type": "quotient", "p": 5, "n": 4, "weights": [1, 3]},
@@ -34,8 +32,6 @@ documents = {
         "ring": {"type": "quotient", "p": 3, "n": 8, "weights": [1, 7]},
     },
 }
-for name, doc in documents.items():
-    (workdir / name).write_text(json.dumps(doc))
 
 jobs = [
     ("compute", "quotient.json"),      # exact toric backend
@@ -46,16 +42,22 @@ jobs = [
     ("purity", "quotient.json"),       # purity-of-branch-locus verdict
 ]
 
-for command, spec in jobs:
-    out = workdir / f"{command}__{spec}"
-    argv = [sys.executable, "-m", "fsig.cli", command,
-            "--spec", str(workdir / spec), "--out", str(out)]
-    proc = subprocess.run(argv, capture_output=True, text=True)
-    print(f"$ fsig {command} --spec {spec}   (exit {proc.returncode})")
-    # the stderr table is the human-readable half of the report
-    for line in proc.stderr.splitlines():
-        print(f"    {line}")
-    report = json.loads(out.read_text())
-    keys = ", ".join(sorted(k for k in report if k != "timing"))
-    print(f"    report keys: {keys}")
-    print()
+# the documents and reports live only as long as the demo runs
+with tempfile.TemporaryDirectory(prefix="fsig-demo-") as tmp:
+    workdir = pathlib.Path(tmp)
+    for name, doc in documents.items():
+        (workdir / name).write_text(json.dumps(doc))
+
+    for command, spec in jobs:
+        out = workdir / f"{command}__{spec}"
+        argv = [sys.executable, "-m", "fsig.cli", command,
+                "--spec", str(workdir / spec), "--out", str(out)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        print(f"$ fsig {command} --spec {spec}   (exit {proc.returncode})")
+        # the stderr table is the human-readable half of the report
+        for line in proc.stderr.splitlines():
+            print(f"    {line}")
+        report = json.loads(out.read_text())
+        keys = ", ".join(sorted(k for k in report if k != "timing"))
+        print(f"    report keys: {keys}")
+        print()

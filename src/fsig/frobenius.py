@@ -160,15 +160,22 @@ class PairDivisor:
         return out
 
 
-def _twist(ring: RingPresentation, delta: PairDivisor | None, e: int) -> tuple[int, Polynomial]:
-    """q = p^e and the colon twist f^(q-1) * prod g_j^(r_j)."""
+def _twist(
+    ring: RingPresentation, delta: PairDivisor | None, e: int
+) -> tuple[int, Polynomial, tuple[Polynomial, ...]]:
+    """q = p^e, the colon twist f^(q-1) * prod g_j^(r_j), and its factors.
+
+    The factors are f and the g_j with r_j > 0, each nonzero.
+    """
     if e < 1:
         raise ValueError("e must be a positive integer")
     q = ring.p**e
     g = Polynomial.one(ring.p, ring.nvars)
+    factors: list[Polynomial] = []
     try:
         if ring.kind == "hypersurface":
             g = ring.f ** (q - 1)
+            factors.append(ring.f)
         if delta is not None and not delta.is_empty():
             delta.check_floor_zero()
             for (comp, _), r in zip(delta.components, delta.exponents(q)):
@@ -176,9 +183,10 @@ def _twist(ring: RingPresentation, delta: PairDivisor | None, e: int) -> tuple[i
                     raise ValueError("divisor component lives in a different ring")
                 if r:
                     g = g * comp**r
+                    factors.append(comp)
     except OverflowError:
         raise ExponentOverflow(q) from None
-    return q, g
+    return q, g, tuple(factors)
 
 
 def splitting_ideal(ring: RingPresentation, delta: PairDivisor | None, e: int) -> Ideal:
@@ -187,7 +195,7 @@ def splitting_ideal(ring: RingPresentation, delta: PairDivisor | None, e: int) -
     This is the explicit colon route; splitting_number uses an equivalent
     rank computation and the two are compared in tests at small e.
     """
-    q, g = _twist(ring, delta, e)
+    q, g, _ = _twist(ring, delta, e)
     bracket = Ideal.bracket_maximal(ring.p, ring.nvars, q)
     if g.total_degree() == 0:
         return bracket
@@ -199,8 +207,13 @@ def splitting_number(
     delta: PairDivisor | None = None,
     e: int = 1,
     method: str = "auto",
+    deadline: float | None = None,
 ) -> int:
-    """a_e = length of P/I_e, the free rank of the e-th Frobenius pushforward."""
+    """a_e = length of P/I_e, the free rank of the e-th Frobenius pushforward.
+
+    The rank route stops with ``TimeoutError`` past ``deadline`` (see
+    ``multiplication_rank``); the colon route does not check it.
+    """
     if method == "colon":
         length = quotient_length(splitting_ideal(ring, delta, e))
         if length == math.inf:
@@ -208,18 +221,28 @@ def splitting_number(
         return int(length)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    q, g = _twist(ring, delta, e)
-    return _colon_length(ring, g, q)
+    q, g, factors = _twist(ring, delta, e)
+    return _colon_length(ring, g, q, factors, deadline)
 
 
-def _colon_length(ring: RingPresentation, g: Polynomial, q: int) -> int:
-    """lambda(P/(m^[q] : g)): the rank of multiplication by g on P/m^[q]."""
+def _colon_length(
+    ring: RingPresentation,
+    g: Polynomial,
+    q: int,
+    factors: tuple[Polynomial, ...],
+    deadline: float | None = None,
+) -> int:
+    """lambda(P/(m^[q] : g)): the rank of multiplication by g on P/m^[q].
+
+    g must be a product of powers of the nonzero ``factors``, which give
+    the grading weights (``find_positive_weights``).
+    """
     if g.total_degree() == 0:
         return q**ring.nvars
     caps = (q,) * ring.nvars
     if g.is_monomial():
         return multiplication_rank(g, caps)
-    return multiplication_rank(g, caps, weights=find_positive_weights(g))
+    return multiplication_rank(g, caps, find_positive_weights(*factors), deadline)
 
 
 @dataclass(frozen=True)
@@ -288,7 +311,9 @@ def fsig_sequence(
 
     A ToricRing (with a TorusQDivisor pair) takes its a_e from the lattice
     window counts, a RingPresentation (with a PairDivisor) from the rank of
-    the colon twist.
+    the colon twist.  ``deadline`` is checked before each e and, on a
+    presentation, before each graded block; past it ``BudgetExceeded``
+    carries the records finished so far.
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
@@ -303,7 +328,10 @@ def fsig_sequence(
         if toric:
             a_e = toric_splitting_number(ring, delta, e)
         else:
-            a_e = splitting_number(ring, delta, e)
+            try:
+                a_e = splitting_number(ring, delta, e, deadline=deadline)
+            except TimeoutError:
+                raise BudgetExceeded(f"time budget exhausted during e = {e}", records) from None
         ideal = splitting_ideal(ring, delta, e) if include_ideals else None
         records.append(SplittingRecord(e, q, a_e, Fraction(a_e, q**ring.d), ideal))
     extrapolated, consistent, monotone = sequence_diagnostics(records)
@@ -364,9 +392,9 @@ def ctrick_gap_sequence(
     _check_nonzero_in_ring(ring, c)
     gaps = []
     for e in range(1, e_max + 1):
-        q, g = _twist(ring, None, e)
-        base = _colon_length(ring, g, q)
-        shifted = _colon_length(ring, g * c, q)
+        q, g, factors = _twist(ring, None, e)
+        base = _colon_length(ring, g, q, factors)
+        shifted = _colon_length(ring, g * c, q, factors + (c,))
         gaps.append(Fraction(base - shifted, q**ring.d))
     return gaps
 
@@ -407,9 +435,9 @@ def perturbed_limit_check(
         fixed = fixed * h ** int(t)
     gaps = []
     for e in range(1, e_max + 1):
-        q, g = _twist(ring, delta, e)
-        base = _colon_length(ring, g, q)
-        pert = _colon_length(ring, g * fixed, q)
+        q, g, factors = _twist(ring, delta, e)
+        base = _colon_length(ring, g, q, factors)
+        pert = _colon_length(ring, g * fixed, q, factors + (fixed,))
         gaps.append(Fraction(base - pert, q**ring.d))
     q_last = ring.p**e_max
     if threshold is None:

@@ -22,8 +22,9 @@ float32 that takes over a million pivots, so in practice it never happens.
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +37,9 @@ _F64_LIMIT = 2**53
 _MAX_BLOCK = 128
 _MAX_DENSE = 4000
 _MAX_BOX = 40_000_000
+# (term, source) pairs per chunk in _block_matrix: about 1 MB of mask and
+# 8 MB per index array at most
+_CHUNK_PAIRS = 2**20
 
 
 def _limit(p: int, dtype) -> int:
@@ -227,24 +231,27 @@ def _primitive_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def find_positive_weights(f: Polynomial) -> tuple[int, ...] | None:
-    """Positive integer weights making f homogeneous, or None.
+def find_positive_weights(*polys: Polynomial) -> tuple[int, ...] | None:
+    """Positive integer weights making every one of ``polys`` homogeneous, or None.
 
-    The difference vectors of the exponents span the constraints; small
-    integer combinations of their rational kernel basis are scanned for a
-    strictly positive vector.
+    The difference vectors of each polynomial's exponents span the
+    constraints; small integer combinations of their rational kernel basis
+    are scanned for a strictly positive vector.  A product of nonzero
+    polynomials is homogeneous under a weight exactly when each factor is,
+    so its factors span the same constraints as the product itself and
+    give the same weights, from far fewer rows.
     """
-    d = f.nvars
+    d = polys[0].nvars
     if d == 0:
         return ()
-    exps = list(f.terms)
-    if len(exps) <= 1:
-        return (1,) * d
     ones = (1,) * d
-    if f.is_homogeneous(ones):
+    if all(f.is_homogeneous(ones) for f in polys):
         return ones
-    anchor = exps[0]
-    rows = [[Fraction(e[i] - anchor[i]) for i in range(d)] for e in exps[1:]]
+    rows = [
+        [Fraction(a - b) for a, b in zip(e, exps[0])]
+        for exps in (list(f.terms) for f in polys)
+        for e in exps[1:]
+    ]
     basis = rational_nullspace(rows, d)
     if not basis:
         return None
@@ -291,17 +298,36 @@ def _block_matrix(
     n_tgt: int,
     dtype,
 ) -> np.ndarray:
-    # one entry per (source monomial, term): targets collide only for
-    # equal term exponents, so plain assignment is safe
+    """Matrix of multiplication by g from the monomials ``src`` to a block.
+
+    Column j holds g * x^exps[src[j]] on the block's ``n_tgt`` monomials,
+    row ``pos[flat]`` for the monomial of flat index ``flat``; products
+    past ``caps_arr`` vanish.  Terms that fit above no source of the block
+    are dropped first.  The rest are taken in chunks of at most
+    ``_CHUNK_PAIRS`` (term, source) pairs: one validity mask per chunk,
+    built one coordinate at a time, then one scatter.  Distinct terms send
+    a source to distinct targets, so no two pairs write the same cell.
+    """
     mat = np.zeros((n_tgt, len(src)), dtype=dtype)
-    src_exps = exps[src].astype(np.int64)
-    for t, c in g.terms.items():
-        shifted = src_exps + np.asarray(t, dtype=np.int64)
-        valid = np.all(shifted < caps_arr, axis=1)
-        if not valid.any():
-            continue
-        flats = shifted[valid] @ strides
-        mat[pos[flats], np.nonzero(valid)[0]] = c
+    src_exps = exps[src]
+    nvars = len(caps_arr)
+    terms = np.fromiter(chain.from_iterable(g.terms), dtype=np.int64, count=len(g.terms) * nvars)
+    terms = terms.reshape(-1, nvars)
+    coeffs = np.fromiter(g.terms.values(), dtype=dtype, count=len(terms))
+    room = caps_arr - terms
+    fits = np.all(room > src_exps.min(axis=0), axis=1)
+    room, coeffs = room[fits], coeffs[fits]
+    shifts = terms[fits] @ strides
+    src_flats = src_exps @ strides
+    step = max(1, _CHUNK_PAIRS // len(src))
+    for a in range(0, len(room), step):
+        chunk = room[a : a + step]
+        valid = src_exps[:, 0] < chunk[:, :1]
+        for i in range(1, nvars):
+            valid &= src_exps[:, i] < chunk[:, i : i + 1]
+        ti, si = valid.nonzero()
+        ti += a
+        mat[pos[src_flats[si] + shifts[ti]], si] = coeffs[ti]
     return mat
 
 
@@ -309,13 +335,15 @@ def multiplication_rank(
     g: Polynomial,
     caps: Sequence[int],
     weights: Sequence[int] | None = None,
+    deadline: float | None = None,
 ) -> int:
     """Rank of multiplication by g on GF(p)[x]/(x_i^{caps_i}).
 
     With positive ``weights`` under which g is homogeneous the map is
     computed blockwise per weighted degree; the quotient pairs perfectly
     into its socle degree, so blocks past the midpoint mirror the early
-    ones and are not rebuilt.
+    ones and are not rebuilt.  Past ``deadline`` (a ``time.monotonic()``
+    value, checked before each graded block) it raises ``TimeoutError``.
     """
     p = g.p
     caps = tuple(int(c) for c in caps)
@@ -367,6 +395,8 @@ def multiplication_rank(
     for j, src in blocks.items():
         if 2 * j > center:
             continue
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("time budget exhausted during a graded rank")
         tgt = blocks.get(j + deg_g)
         if tgt is None or len(tgt) == 0:
             block_rank = 0

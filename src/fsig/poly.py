@@ -279,6 +279,26 @@ class Polynomial:
         if len(self.terms) == 1:
             ((m, c),) = self.terms.items()
             return self._raw({tuple(e * k for e in m): pow(c, k, self.p)})
+        # Over GF(p), h^p = h(x^p): with k = sum k_i p^i, f^k is the product
+        # of f^(k_i) with every exponent scaled by p^i.
+        p = self.p
+        digit_powers: dict[int, Polynomial] = {}
+        result = None
+        scale = 1
+        while k:
+            k, digit = divmod(k, p)
+            if digit:
+                if digit not in digit_powers:
+                    digit_powers[digit] = self._small_pow(digit)
+                h = digit_powers[digit]
+                if scale > 1:
+                    h = self._raw({tuple(e * scale for e in m): c for m, c in h.terms.items()})
+                result = h if result is None else result * h
+            scale *= p
+        return result
+
+    def _small_pow(self, k: int) -> Polynomial:
+        """self^k for k >= 1 by multiplication alone."""
         # For sparse bases iterated multiplication beats repeated squaring
         # because intermediate supports stay small.
         if len(self.terms) <= 8:

@@ -189,8 +189,15 @@ DOCUMENT_SCHEMA = {
 }
 
 
+# Built once: jsonschema.validate would check DOCUMENT_SCHEMA against the
+# meta-schema on every call.  The schema's own validity is a test.
+_DOCUMENT_VALIDATOR = jsonschema.Draft202012Validator(DOCUMENT_SCHEMA)
+
+
 def validate_document(doc: Any) -> None:
-    jsonschema.validate(doc, DOCUMENT_SCHEMA)
+    error = jsonschema.exceptions.best_match(_DOCUMENT_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise error
     for key in ("ring", "cover", "veronese"):
         sub = doc.get(key)
         if sub and "p" in sub and not is_prime(sub["p"]):

@@ -125,6 +125,27 @@ def brute_colon_complement_length(g: Polynomial, q: int) -> int:
     return rank
 
 
+def brute_block_matrix(
+    g: Polynomial,
+    caps: tuple[int, ...],
+    sources: list[tuple[int, ...]],
+    targets: list[tuple[int, ...]],
+) -> list[list[int]]:
+    """Matrix of multiplication by g from ``sources`` to ``targets``.
+
+    Column j is g * x^sources[j] with every term past ``caps`` dropped,
+    written out on the ``targets`` monomials one term at a time.  Every
+    remaining term must be one of the targets.
+    """
+    row = {m: i for i, m in enumerate(targets)}
+    mat = [[0] * len(sources) for _ in targets]
+    for j, mu in enumerate(sources):
+        for m, c in g.multiply_monomial(mu).terms.items():
+            if all(e < cap for e, cap in zip(m, caps)):
+                mat[row[m]][j] = c
+    return mat
+
+
 def brute_window_count(normals, q: int, caps: tuple[int, ...] | None = None) -> int:
     """#{c in Z^d : 0 <= <v_F, c> <= cap_F for all F} by grid search.
 

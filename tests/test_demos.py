@@ -13,8 +13,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the scratch files a demo makes under pytest's tmp_path.
+    # TMPDIR points a demo's scratch files at pytest's tmp_path, which must
+    # be empty again when the demo ends.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not any(tmp_path.iterdir()), "the demo left files behind"

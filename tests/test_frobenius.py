@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fsig import frobenius
 from fsig.frobenius import (
     CEIL_PE_MINUS_1,
     FLOOR_PE,
@@ -22,8 +23,10 @@ from fsig.frobenius import (
     sfr_witness,
     splitting_ideal,
     splitting_number,
+    _twist,
 )
 from fsig.ideals import Ideal, quotient_length
+from fsig.linalg import find_positive_weights
 from fsig.poly import Polynomial, parse_polynomial
 
 from _oracles import brute_colon_complement_length
@@ -201,6 +204,24 @@ def test_budget_exceeded_carries_partial_records():
     assert err.value.records == []
 
 
+def test_budget_checked_between_graded_blocks(monkeypatch):
+    # The clock passes the deadline once e = 2 starts its rank, so only the
+    # check before each graded block can stop that level; e = 1 is kept.
+    clock = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+    real_rank = frobenius.multiplication_rank
+
+    def rank_past_deadline(g, caps, *args, **kwargs):
+        if caps[0] == 9:
+            clock[0] = 2.0
+        return real_rank(g, caps, *args, **kwargs)
+
+    monkeypatch.setattr(frobenius, "multiplication_rank", rank_past_deadline)
+    with pytest.raises(BudgetExceeded, match="during e = 2") as err:
+        fsig_sequence(a1_surface(), e_max=3, deadline=1.0)
+    assert [r.a_e for r in err.value.records] == [5]
+
+
 def test_splitting_ideal_length_matches_number():
     ring = a1_surface()
     for e in (1, 2):
@@ -236,3 +257,35 @@ def test_perturbed_limit_check_runs():
     assert report.passed
     assert all(g >= 0 for g in report.gaps)
     assert report.gaps[-1] <= report.threshold
+
+
+@pytest.mark.parametrize(
+    "f, p, e, pair, extra",
+    [
+        ("x*y + y*z + z*x", 7, 2, (), None),
+        ("x^2 + y^3 + z^5", 11, 2, (), None),
+        ("x*y - z^3", 5, 2, (), None),
+        ("x*y - z^2", 3, 3, (("x + z", "1/3"),), None),
+        ("x*y - z^2", 7, 2, (("x + z", "1/3"),), None),
+        ("x*y - z^2", 5, 2, (("x + y + z", "1/2"),), None),
+        ("x*y - z^2", 3, 2, (("x + y^2", "1/2"),), None),
+        ("x*y - z^2", 3, 3, (), "z"),
+        ("x*y - z^2", 3, 3, (), "x + y"),
+        ("x*y - z^2", 5, 2, (), "x + y"),
+        ("x^2 + y^3 + x*y", 3, 1, (), None),
+    ],
+)
+def test_twist_weights_come_from_its_factors(f, p, e, pair, extra):
+    # The colon route grades the twist by the weights of its factors (and
+    # of the c-trick or perturbation factor); they must be the weights of
+    # the product itself, None included.
+    names = ("x", "y", "z")
+    ring = RingPresentation.hypersurface(parse_polynomial(f, p, 3, names=names), names=names)
+    delta = PairDivisor.of(
+        [(parse_polynomial(g, p, 3, names=names), Fraction(t)) for g, t in pair]
+    )
+    _, g, factors = _twist(ring, delta, e)
+    if extra is not None:
+        h = parse_polynomial(extra, p, 3, names=names)
+        g, factors = g * h, factors + (h,)
+    assert find_positive_weights(*factors) == find_positive_weights(g)

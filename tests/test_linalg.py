@@ -1,6 +1,8 @@
 """Rank computations over GF(p) and the graded multiplication-rank engine."""
 
 import random
+import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from fsig.linalg import (
 )
 from fsig.poly import Polynomial, parse_polynomial
 
-from _oracles import box_dimension, brute_colon_complement_length
+from _oracles import box_dimension, brute_block_matrix, brute_colon_complement_length
 
 
 def test_rank_small_known():
@@ -155,6 +157,66 @@ def test_multiplication_rank_matches_brute_force():
         expected = brute_colon_complement_length(g, q)
         got = multiplication_rank(g, (q,) * 3, weights=find_positive_weights(g))
         assert got == expected, (text, p, q, got, expected)
+
+
+def test_block_matrix_matches_brute_force(monkeypatch):
+    # Graded blocks of a random weighted-homogeneous g, and the whole box
+    # for an arbitrary g, each at the default chunk size and at 3 pairs
+    # per chunk so that chunk boundaries fall inside the term list.
+    rng = random.Random(23)
+    seen = {"single source": 0, "more terms than sources": 0, "term past caps": 0}
+
+    def check(g, caps, exps, strides, pos, src, tgt):
+        mat = linalg._block_matrix(
+            g, np.asarray(caps, dtype=np.int64), exps, strides, pos, src, len(tgt), np.float32
+        )
+        expected = brute_block_matrix(
+            g, caps, [tuple(exps[i]) for i in src], [tuple(exps[i]) for i in tgt]
+        )
+        assert mat.dtype == np.float32 and mat.tolist() == expected
+        seen["single source"] += len(src) == 1
+        seen["more terms than sources"] += len(g.terms) > len(src)
+        seen["term past caps"] += any(any(e >= c for e, c in zip(m, caps)) for m in g.terms)
+
+    for chunk in (linalg._CHUNK_PAIRS, 3):
+        monkeypatch.setattr(linalg, "_CHUNK_PAIRS", chunk)
+        for _ in range(30):
+            p = rng.choice((2, 3, 5, 7))
+            nvars = rng.randint(1, 3)
+            caps = tuple(rng.randint(1, 5) for _ in range(nvars))
+            weights = np.array([rng.randint(1, 3) for _ in range(nvars)])
+            degree = rng.randint(1, 8)
+            candidates = [
+                m for m in product(range(degree + 1), repeat=nvars) if np.dot(m, weights) == degree
+            ]
+            if not candidates:
+                continue
+            chosen = rng.sample(candidates, min(len(candidates), rng.randint(1, 12)))
+            g = Polynomial(p, nvars, {m: rng.randrange(1, p) for m in chosen})
+            exps, strides = linalg._box_exponents(caps)
+            degrees = exps @ weights
+            pos = np.empty(len(exps), dtype=np.int64)
+            for j in np.unique(degrees):
+                src = np.nonzero(degrees == j)[0]
+                tgt = np.nonzero(degrees == j + degree)[0]
+                if len(tgt):
+                    pos[tgt] = np.arange(len(tgt))
+                    check(g, caps, exps, strides, pos, src, tgt)
+            terms = {
+                tuple(rng.randint(0, c + 1) for c in caps): rng.randrange(1, p)
+                for _ in range(rng.randint(1, 12))
+            }
+            everything = np.arange(len(exps))
+            check(Polynomial(p, nvars, terms), caps, exps, strides, everything, everything, everything)
+    assert all(seen.values()), seen
+
+
+def test_multiplication_rank_stops_past_deadline():
+    g = parse_polynomial("x*y - z^2", 3, 3, names=("x", "y", "z")) ** 8
+    weights = find_positive_weights(g)
+    with pytest.raises(TimeoutError):
+        multiplication_rank(g, (9,) * 3, weights, deadline=time.monotonic() - 1)
+    assert multiplication_rank(g, (9,) * 3, weights, deadline=time.monotonic() + 60) == 41
 
 
 def test_multiplication_rank_without_weights_agrees():

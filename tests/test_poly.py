@@ -1,5 +1,7 @@
 """Polynomial arithmetic, monomial orders, and the parser."""
 
+import random
+
 import pytest
 
 from fsig.poly import (
@@ -47,11 +49,24 @@ def test_freshman_dream():
 
 
 def test_pow_matches_repeated_multiplication():
-    f = parse_polynomial("x0*x1 - x2^2", 3, 3)
-    acc = Polynomial.one(3, 3)
-    for _ in range(6):
-        acc = acc * f
-    assert f**6 == acc
+    # k = q - 1 has every base-p digit p - 1; the other k mix digits,
+    # zeros included, and k < p has a single one.
+    rng = random.Random(7)
+    cases = [(parse_polynomial("x0*x1 - x2^2", 3, 3), 6)]
+    for p in (2, 3, 5, 7):
+        for _ in range(6):
+            nvars = rng.randint(1, 3)
+            terms = {
+                tuple(rng.randint(0, 2) for _ in range(nvars)): rng.randrange(1, p)
+                for _ in range(rng.randint(2, 5))
+            }
+            f = Polynomial(p, nvars, terms)
+            cases += [(f, k) for k in (p - 1, p * p - 1, p, p * p + 1, rng.randint(2, 20))]
+    for f, k in cases:
+        acc = Polynomial.one(f.p, f.nvars)
+        for _ in range(k):
+            acc = acc * f
+        assert f**k == acc, (f, k)
 
 
 def test_monomial_helpers():

@@ -8,6 +8,7 @@ import pytest
 
 from fsig.frobenius import CEIL_PE_MINUS_1, PairDivisor, RingPresentation
 from fsig.serialize import (
+    DOCUMENT_SCHEMA,
     along_index,
     build_pair,
     build_ring,
@@ -51,6 +52,34 @@ def test_validate_accepts_each_ring_kind():
 def test_validate_rejects_unknown_fields():
     with pytest.raises(jsonschema.ValidationError):
         validate_document({"ring": {"type": "regular", "p": 5, "nvars": 2, "extra": 1}})
+
+
+def test_document_schema_is_valid():
+    jsonschema.Draft202012Validator.check_schema(DOCUMENT_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"ring": {"type": "regular", "p": 5, "nvars": 2, "extra": 1}},
+        {"ring": {"type": "quotient", "n": 2, "weights": [1, 1], "p": 5},
+         "pair": {"facet_coeffs": [0.5, "0"]}},
+        {"cover": {"type": "mystery", "n": 2}},
+        {"ring": {"type": "hypersurface", "p": 5, "nvars": 3}},
+        {"ring": {"type": "toric", "rays": [[1, "0"], [1, 2]], "p": 5}},
+        {"ring": {"type": "regular", "p": "5", "nvars": 2}, "options": {"e_max": -1}},
+        {"ring": {"type": "regular", "p": 5, "nvars": 2}, "options": {"e_max": "3"}},
+        [],
+    ],
+)
+def test_validate_raises_the_error_jsonschema_validate_raises(doc):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(doc, DOCUMENT_SCHEMA)
+    with pytest.raises(jsonschema.ValidationError) as got:
+        validate_document(doc)
+    assert got.value.message == expected.value.message
+    assert got.value.path == expected.value.path
+    assert got.value.schema_path == expected.value.schema_path
 
 
 def test_validate_rejects_composite_p():
