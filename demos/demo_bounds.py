@@ -19,7 +19,6 @@ from fsig import (
     index_bound,
     parse_polynomial,
     pi1_order_bound,
-    pi1_order_bound_sequence,
     purity_check,
     purity_from_value,
     quotient_singularity,
@@ -45,7 +44,7 @@ assert all(d % 3 != 0 for d in degrees)
 # Provisional bound from a truncated hypersurface sequence.
 f = parse_polynomial("x*y - z^2", p=3, nvars=3, names=("x", "y", "z"))
 a1 = RingPresentation.hypersurface(f, names=("x", "y", "z"))
-seq_report = pi1_order_bound_sequence(a1, e_max=3)
+seq_report = pi1_order_bound(a1, backend="sequence", e_max=3)
 lo, hi = seq_report.s_interval
 blo, bhi = seq_report.bound_interval
 print(f"A_1 sequence estimate: s in [{lo}, {hi}], bound in [{blo}, {bhi}] "

@@ -25,7 +25,6 @@ from .bounds import (
     etale_cover_search,
     index_bound,
     pi1_order_bound,
-    pi1_order_bound_sequence,
     purity_check,
     purity_from_value,
     veronese_bound,
@@ -39,6 +38,7 @@ from .covers import (
     TraceMap,
     TraceReport,
     TransformationReport,
+    VerificationFailure,
     chain_simulation,
     compose_covers,
     count_trace_summands,
@@ -56,12 +56,14 @@ from .frobenius import (
     CEIL_PE_MINUS_1,
     FLOOR_PE,
     BudgetExceeded,
+    FSignature,
     PairDivisor,
     RingPresentation,
     SplittingRecord,
     SplittingSequence,
     ctrick_gap_sequence,
     fsig_sequence,
+    fsig_value,
     hk_length_sequence,
     perturbed_limit_check,
     rounding_gap_check,
@@ -94,6 +96,7 @@ __all__ = [
     "CoverDescriptor",
     "DoublingReport",
     "FLOOR_PE",
+    "FSignature",
     "FreeClassCertificate",
     "Ideal",
     "IndexReport",
@@ -112,6 +115,7 @@ __all__ = [
     "TraceMap",
     "TraceReport",
     "TransformationReport",
+    "VerificationFailure",
     "canonical_divisor",
     "chain_simulation",
     "class_order",
@@ -124,13 +128,13 @@ __all__ = [
     "frobenius_power",
     "ctrick_gap_sequence",
     "fsig_sequence",
+    "fsig_value",
     "hk_length_sequence",
     "identity_cover",
     "index_bound",
     "parse_polynomial",
     "perturbed_limit_check",
     "pi1_order_bound",
-    "pi1_order_bound_sequence",
     "pullback_divisor",
     "pullback_pair",
     "purity_check",

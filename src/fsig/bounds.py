@@ -9,11 +9,11 @@ index of a torsion divisor class is bounded through its cyclic cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .covers import CoverDescriptor, _build_cover, quotient_cover
-from .frobenius import RingPresentation, fsig_sequence
+from .covers import CoverDescriptor, VerificationFailure, _build_cover, quotient_cover
+from .frobenius import PairDivisor, RingPresentation, fsig_value
 from .toric import (
     ToricRing,
     TorusQDivisor,
@@ -51,64 +51,58 @@ class BoundReport:
             "theorem": self.theorem,
         }
 
+    def details_json(self) -> dict:
+        """Attainment, note and provenance, with the intervals of an estimate."""
+        details = {"attained": self.attained, "note": self.note, "provisional": self.provisional}
+        if self.s_interval is not None:
+            details["s_interval"] = [f"{x.numerator}/{x.denominator}" for x in self.s_interval]
+        if self.bound_interval is not None:
+            details["bound_interval"] = list(self.bound_interval)
+        return details
 
-def pi1_order_bound(ring: ToricRing, delta: TorusQDivisor | None = None) -> BoundReport:
-    """|pi_1| <= 1/s(R, Delta), exact on the lattice backend, prime to p.
 
-    For a cyclic quotient presentation the bound is checked for
-    attainability by the full-degree cover.
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise VerificationFailure(message)
+
+
+def pi1_order_bound(
+    ring: RingPresentation | ToricRing,
+    delta: PairDivisor | TorusQDivisor | None = None,
+    backend: str = "auto",
+    e_max: int = 3,
+    deadline: float | None = None,
+) -> BoundReport:
+    """|pi_1| <= 1/s(R, Delta), prime to p, with s from ``fsig_value``.
+
+    On an exact value from a cyclic quotient presentation the bound is
+    checked for attainability by the full-degree cover.  An estimate gives
+    a provisional bound: a floor of an estimate can be off by one, so the
+    report carries the interval spanned by the last normalized value and
+    the extrapolation, with both induced floors, and is never used to
+    assert a failure.
     """
-    s = toric_fsig_exact(ring, delta)
-    if s == 0:
-        raise ValueError("F-signature is zero: not strongly F-regular; the bound does not apply")
+    value = fsig_value(ring, delta, backend, e_max, deadline)
+    s, (lo, hi) = value.s, value.interval
+    if lo <= 0:
+        raise ValueError(
+            "F-signature is zero: not strongly F-regular; the bound does not apply"
+            if value.exact
+            else "estimated F-signature is not positive; the bound does not apply"
+        )
     bound = math.floor(1 / s)
+    if not value.exact:
+        return BoundReport(s, False, bound, ring.p, "A", provisional=True, s_interval=(lo, hi),
+                           bound_interval=(math.floor(1 / hi), math.floor(1 / lo)),
+                           note="provisional: truncated sequence estimate")
     attained = None
     if delta is None and ring.group_order is not None and ring.group_weights is not None:
         n = ring.group_order
         if ring.small and n == bound:
             cover = quotient_cover(n, ring.group_weights, ring.p, 1)
             attained = cover.etale_in_codim1 and cover.degree == bound
-    return BoundReport(
-        s=s,
-        exact=True,
-        bound=bound,
-        prime_to_p=ring.p,
-        theorem="A",
-        attained=attained,
-        note="admissible cover degrees are prime to p",
-    )
-
-
-def pi1_order_bound_sequence(
-    ring: RingPresentation | ToricRing,
-    delta=None,
-    e_max: int = 3,
-    deadline: float | None = None,
-) -> BoundReport:
-    """Provisional order bound from a truncated splitting-number sequence.
-
-    A floor of an estimate can be off by one, so the report carries the
-    interval spanned by the last normalized value and the extrapolation,
-    with both induced floors, and is never used to assert a failure.
-    A single record has no extrapolation; its value is used for both.
-    """
-    seq = fsig_sequence(ring, delta, e_max=e_max, deadline=deadline)
-    last = seq.records[-1].normalized
-    extrap = last if seq.extrapolated is None else seq.extrapolated
-    lo, hi = min(last, extrap), max(last, extrap)
-    if lo <= 0:
-        raise ValueError("estimated F-signature is not positive; the bound does not apply")
-    return BoundReport(
-        s=extrap,
-        exact=False,
-        bound=math.floor(1 / extrap),
-        prime_to_p=ring.p,
-        theorem="A",
-        provisional=True,
-        s_interval=(lo, hi),
-        bound_interval=(math.floor(1 / hi), math.floor(1 / lo)),
-        note="provisional: truncated sequence estimate",
-    )
+    return BoundReport(s, True, bound, ring.p, "A", attained=attained,
+                       note="admissible cover degrees are prime to p")
 
 
 # -- purity ------------------------------------------------------------------
@@ -167,30 +161,32 @@ def etale_cover_search(ring: ToricRing) -> list[CoverDescriptor]:
     return sorted(found, key=lambda c: c.degree)
 
 
-def purity_check(ring: ToricRing, delta: TorusQDivisor | None = None) -> PurityVerdict:
-    """Exact purity verdict, cross-checked against the cover constructors.
+def purity_check(
+    ring: RingPresentation | ToricRing,
+    delta: PairDivisor | TorusQDivisor | None = None,
+    backend: str = "auto",
+    e_max: int = 3,
+    deadline: float | None = None,
+) -> PurityVerdict:
+    """Purity verdict on s from ``fsig_value``.
 
-    When purity is forced the constructible-family search must come back
-    empty; at the boundary s = 1/2 a nontrivial cover may exist and the
-    verdict records it.
+    An estimate is judged on min(last value, estimate) and is
+    provisional.  An exact value without a pair is cross-checked against
+    the cover constructors: when purity is forced the constructible-family
+    search must come back empty; at the boundary s = 1/2 a nontrivial
+    cover may exist and the verdict records it.
     """
-    s = toric_fsig_exact(ring, delta)
-    verdict = purity_from_value(s, ring.p, exact=True)
-    covers = etale_cover_search(ring) if delta is None else []
-    admits = bool(covers)
-    if verdict.forced and delta is None:
-        assert not admits, "a cover etale in codimension one exists despite purity"
-    return PurityVerdict(
-        forced=verdict.forced,
-        threshold=verdict.threshold,
-        clause=verdict.clause,
-        s=s,
-        exact=True,
-        provisional=False,
-        boundary_case=verdict.boundary_case,
-        admits_nontrivial_etale_cover=admits if delta is None else None,
-        covers_found=tuple(covers),
-    )
+    value = fsig_value(ring, delta, backend, e_max, deadline)
+    if not value.exact:
+        seq = value.sequence
+        return purity_from_value(min(seq.last, seq.estimate), ring.p, exact=False, provisional=True)
+    verdict = purity_from_value(value.s, ring.p)
+    if delta is not None:
+        return verdict
+    covers = etale_cover_search(ring)
+    _require(not (verdict.forced and covers),
+             "a cover etale in codimension one exists despite purity")
+    return replace(verdict, admits_nontrivial_etale_cover=bool(covers), covers_found=tuple(covers))
 
 
 # -- torsion divisor classes ---------------------------------------------------
@@ -231,8 +227,9 @@ def cyclic_index_cover(ring: ToricRing, facet_coeffs) -> CoverDescriptor:
     gens = [[k * int(i == j) for j in range(d)] for i in range(d)]
     gens.append([int(k * x) for x in u])
     b_rows = row_lattice_basis(gens)
-    assert len(b_rows) == d
-    assert abs(integer_det(b_rows)) == k ** (d - 1)
+    _require(len(b_rows) == d, "the upper lattice of the class cover is not full rank")
+    _require(abs(integer_det(b_rows)) == k ** (d - 1),
+             "the upper lattice of the class cover has the wrong index")
     raw_normals = [
         tuple(sum(v[i] * b_rows[j][i] for i in range(d)) for j in range(d))
         for v in ring.normals
@@ -250,11 +247,11 @@ def cyclic_index_cover(ring: ToricRing, facet_coeffs) -> CoverDescriptor:
         row = []
         for j in range(d):
             x = k * b_inv[i][j]
-            assert x.denominator == 1
+            _require(x.denominator == 1, "the class cover transition is not integral")
             row.append(int(x))
         t_matrix.append(row)
     cover = _build_cover(ring, upper, t_matrix, kind="cyclic-index")
-    assert cover.degree == k
+    _require(cover.degree == k, f"the class cover has degree {cover.degree}, not the class order {k}")
     return cover
 
 
@@ -273,8 +270,7 @@ def index_bound(ring: ToricRing, facet_coeffs, p: int | None = None) -> IndexRep
         raise ValueError("F-signature is zero: not strongly F-regular")
     bound = math.floor(1 / s)
     cover = cyclic_index_cover(ring, facet_coeffs)
-    assert cover.degree == k
-    assert cover.etale_in_codim1
+    _require(cover.etale_in_codim1, "the class cover is not etale in codimension one")
     return IndexReport(order=k, bound=bound, s=s, ok=(k <= bound), cover=cover)
 
 
@@ -290,7 +286,6 @@ def veronese_bound(d_vars: int, m: int, p: int) -> BoundReport:
         raise ValueError("need at least two variables for the section-ring model")
     if m % p == 0:
         raise ValueError(f"p = {p} divides m = {m}")
-    ring = quotient_singularity(m, (1,) * d_vars, p) if m > 1 else None
     if m == 1:
         return BoundReport(
             s=Fraction(1),
@@ -301,11 +296,13 @@ def veronese_bound(d_vars: int, m: int, p: int) -> BoundReport:
             attained=True,
             note="trivial Veronese",
         )
-    assert ring is not None and ring.small
+    ring = quotient_singularity(m, (1,) * d_vars, p)
+    _require(ring.small, "the Veronese action contains a pseudo-reflection")
     s = toric_fsig_exact(ring)
-    assert s == Fraction(1, m)
+    _require(s == Fraction(1, m), f"the Veronese has s = {s}, not 1/{m}")
     witness = quotient_cover(m, (1,) * d_vars, p, 1)
-    assert witness.degree == m and witness.etale_in_codim1
+    _require(witness.degree == m and witness.etale_in_codim1,
+             "the polynomial ring does not witness the Veronese bound")
     return BoundReport(
         s=s,
         exact=True,

@@ -1,8 +1,9 @@
 """Command-line driver: compute, verify, bounds, chain, purity.
 
-Reads a JSON spec document, dispatches to the exact lattice backend or
-the splitting-number sequence backend, writes a deterministic JSON
-report (stdout or --out) and prints an aligned human table to stderr.
+Reads a JSON spec document, hands its ring and options to the library
+(which picks the exact lattice backend or the splitting-number sequence
+backend), writes a deterministic JSON report (stdout or --out) and prints
+an aligned human table to stderr.
 Exit codes: 0 success, 2 input error, 3 budget exhausted, 4 verification
 failure.
 """
@@ -19,18 +20,11 @@ from pathlib import Path
 
 import jsonschema
 
-from .bounds import (
-    BoundReport,
-    index_bound,
-    pi1_order_bound,
-    pi1_order_bound_sequence,
-    purity_check,
-    purity_from_value,
-    veronese_bound,
-)
+from .bounds import BoundReport, index_bound, pi1_order_bound, purity_check, veronese_bound
 from .covers import (
     CoverConstructionError,
     NonEffectivePairError,
+    VerificationFailure,
     chain_simulation,
     count_trace_summands,
     doubling_check,
@@ -39,7 +33,7 @@ from .covers import (
     verify_note_trace,
     verify_transformation,
 )
-from .frobenius import BudgetExceeded, fsig_sequence
+from .frobenius import BudgetExceeded, fsig_value
 from .poly import ParseError
 from .serialize import (
     along_index,
@@ -52,15 +46,7 @@ from .serialize import (
     strip_timing,
     validate_document,
 )
-from .toric import SimplicialityError, ToricRing, TorusQDivisor, toric_fsig_exact
-
-
-class VerificationFailure(Exception):
-    """A requested check did not pass; the report explains which one."""
-
-    def __init__(self, message: str, report: dict | None = None):
-        super().__init__(message)
-        self.report = report
+from .toric import SimplicialityError, ToricRing, TorusQDivisor
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -92,12 +78,10 @@ def _load_document(args) -> dict:
 
 
 def _ring_request(doc: dict, args):
-    """The ring, pair, backend, e_max and deadline of a compute/bounds/purity document.
+    """The ring, the pair and the ``fsig_value`` keywords of a compute/bounds/purity document.
 
-    The backend is resolved once for all three commands: ``auto`` takes
-    the exact lattice path iff the ring is toric, ``toric`` refuses a
-    presentation, and ``sequence`` runs the truncated splitting-number
-    sequence on either kind of ring.
+    The flags override the document's options; the library applies the
+    backend rule.
     """
     options = dict(doc.get("options", {}))
     flags = {"e_max": args.e_max, "backend": args.backend, "time_budget_secs": args.budget}
@@ -106,14 +90,13 @@ def _ring_request(doc: dict, args):
         raise ValueError(f"{args.command} needs a ring")
     ring = build_ring(doc["ring"])
     delta = build_pair(doc["pair"], ring) if "pair" in doc else None
-    backend = options.get("backend", "auto")
-    if backend == "auto":
-        backend = "toric" if isinstance(ring, ToricRing) else "sequence"
-    elif backend == "toric" and not isinstance(ring, ToricRing):
-        raise ValueError("backend=toric requires a toric or quotient ring")
     budget = options.get("time_budget_secs")
-    deadline = None if budget is None else time.monotonic() + budget
-    return ring, delta, backend, options.get("e_max", 3), deadline
+    request = {
+        "backend": options.get("backend", "auto"),
+        "e_max": options.get("e_max", 3),
+        "deadline": None if budget is None else time.monotonic() + budget,
+    }
+    return ring, delta, request
 
 
 # -- compute -----------------------------------------------------------------
@@ -128,25 +111,21 @@ def _record_rows(records) -> list[list[str]]:
 
 
 def cmd_compute(doc: dict, args) -> tuple[dict, str, int]:
-    ring, delta, backend, e_max, deadline = _ring_request(doc, args)
-    if backend == "toric":
-        s = toric_fsig_exact(ring, delta)
-        report = {
-            "backend": "toric",
-            "ring": doc["ring"],
-            "pair": doc.get("pair"),
-            "exact": True,
-            "s": fraction_string(s),
-        }
-        table = _table(["s (exact)", "decimal"], [[fraction_string(s), f"{float(s):.6f}"]])
-        return report, table, 0
-    seq = fsig_sequence(ring, delta, e_max=e_max, deadline=deadline)
-    extrapolated = seq.extrapolated
+    ring, delta, request = _ring_request(doc, args)
+    value = fsig_value(ring, delta, **request)
     report = {
-        "backend": "sequence",
+        "backend": "toric" if value.exact else "sequence",
         "ring": doc["ring"],
         "pair": doc.get("pair"),
-        "exact": False,
+        "exact": value.exact,
+    }
+    if value.exact:
+        report["s"] = fraction_string(value.s)
+        table = _table(["s (exact)", "decimal"], [[report["s"], f"{float(value.s):.6f}"]])
+        return report, table, 0
+    seq = value.sequence
+    extrapolated = seq.extrapolated
+    report.update({
         "dimension": ring.d,
         "records": [
             {"e": r.e, "q": r.q, "a_e": r.a_e, "normalized": fraction_string(r.normalized)}
@@ -156,7 +135,7 @@ def cmd_compute(doc: dict, args) -> tuple[dict, str, int]:
         "consistent": seq.consistent,
         "monotone": seq.monotone,
         "note": seq.note,
-    }
+    })
     table = _table(["e", "q", "a_e", "a_e/q^d", "decimal"], _record_rows(seq.records))
     if extrapolated is not None:
         table += f"\nextrapolated: {fraction_string(extrapolated)} ~ {float(extrapolated):.6f}"
@@ -267,7 +246,6 @@ def cmd_bounds(doc: dict, args) -> tuple[dict, str, int]:
     if "veronese" in doc:
         v = doc["veronese"]
         bound = veronese_bound(v["d_vars"], v["m"], v["p"])
-        details = {"attained": bound.attained, "note": bound.note, "provisional": False}
     elif "divisor_class" in doc:
         if "ring" not in doc:
             raise ValueError("divisor_class bounds need a ring")
@@ -297,21 +275,9 @@ def cmd_bounds(doc: dict, args) -> tuple[dict, str, int]:
     else:
         if "ring" not in doc:
             raise ValueError("bounds needs a ring, a veronese block, or a divisor_class")
-        ring, delta, backend, e_max, deadline = _ring_request(doc, args)
-        if backend == "toric":
-            bound = pi1_order_bound(ring, delta)
-        else:
-            bound = pi1_order_bound_sequence(ring, delta, e_max=e_max, deadline=deadline)
-        details = {
-            "attained": bound.attained,
-            "note": bound.note,
-            "provisional": bound.provisional,
-        }
-        if bound.s_interval is not None:
-            details["s_interval"] = [fraction_string(x) for x in bound.s_interval]
-        if bound.bound_interval is not None:
-            details["bound_interval"] = list(bound.bound_interval)
-    report = {"bound_report": bound.core_json(), "details": details}
+        ring, delta, request = _ring_request(doc, args)
+        bound = pi1_order_bound(ring, delta, **request)
+    report = {"bound_report": bound.core_json(), "details": bound.details_json()}
     table = _table(
         ["s", "exact", "bound", "prime to", "theorem"],
         [[fraction_string(bound.s), str(bound.exact), str(bound.bound),
@@ -365,13 +331,8 @@ def cmd_chain(doc: dict, args) -> tuple[dict, str, int]:
 
 
 def cmd_purity(doc: dict, args) -> tuple[dict, str, int]:
-    ring, delta, backend, e_max, deadline = _ring_request(doc, args)
-    if backend == "toric":
-        verdict = purity_check(ring, delta)
-    else:
-        seq = fsig_sequence(ring, delta, e_max=e_max, deadline=deadline)
-        conservative = min(seq.records[-1].normalized, seq.estimate)
-        verdict = purity_from_value(conservative, ring.p, exact=False, provisional=True)
+    ring, delta, request = _ring_request(doc, args)
+    verdict = purity_check(ring, delta, **request)
     bound = math.floor(1 / verdict.s) if verdict.s > 0 else 0
     report = {
         "ring": doc["ring"],
@@ -452,10 +413,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except NonEffectivePairError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 4
-    except VerificationFailure as exc:
+    except (NonEffectivePairError, VerificationFailure) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
     except (

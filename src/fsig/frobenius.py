@@ -7,7 +7,8 @@ splitting numbers are computed as the rank of multiplication by the same
 twist on P/m^[q], which equals the colon-quotient length and avoids large
 basis computations.  The two routes are cross-checked in the test suite.
 fsig_sequence also takes a toric ring, whose splitting numbers are the
-lattice window counts of fsig.toric.
+lattice window counts of fsig.toric; fsig_value picks between that
+estimate and the exact lattice value.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 from .ideals import Ideal, colon_ideal, frobenius_power, ideal_sum, quotient_length
 from .linalg import find_positive_weights, multiplication_rank
 from .poly import Polynomial, default_names
-from .toric import ToricRing, TorusQDivisor, toric_splitting_number
+from .toric import ToricRing, TorusQDivisor, toric_fsig_exact, toric_splitting_number
 
 FLOOR_PE = "floor_pe"
 CEIL_PE_MINUS_1 = "ceil_pe_minus_1"
@@ -240,8 +241,6 @@ def _colon_length(
     if g.total_degree() == 0:
         return q**ring.nvars
     caps = (q,) * ring.nvars
-    if g.is_monomial():
-        return multiplication_rank(g, caps)
     return multiplication_rank(g, caps, find_positive_weights(*factors), deadline)
 
 
@@ -341,6 +340,47 @@ def fsig_sequence(
     if toric:
         sequence.note = "window counts; " + sequence.note
     return sequence
+
+
+@dataclass(frozen=True)
+class FSignature:
+    """s(R, Delta), exact or estimated, with the interval it is known to lie in.
+
+    An estimate's ``s`` is the extrapolation of ``sequence`` (its last
+    value when there is only one record) and ``interval`` spans it and the
+    last normalized value; an exact value has ``interval == (s, s)``.
+    """
+
+    s: Fraction
+    exact: bool
+    interval: tuple[Fraction, Fraction]
+    sequence: SplittingSequence | None = None
+
+
+def fsig_value(
+    ring: RingPresentation | ToricRing,
+    delta: PairDivisor | TorusQDivisor | None = None,
+    backend: str = "auto",
+    e_max: int = 3,
+    deadline: float | None = None,
+) -> FSignature:
+    """The F-signature from the backend the ring and ``backend`` select.
+
+    ``auto`` gives the exact lattice value iff the ring is a ToricRing,
+    ``toric`` requires one, and ``sequence`` estimates s from
+    ``fsig_sequence(ring, delta, e_max, deadline)`` on either kind of ring.
+    """
+    if backend not in ("auto", "toric", "sequence"):
+        raise ValueError(f"unknown backend {backend!r}")
+    toric = isinstance(ring, ToricRing)
+    if backend == "toric" and not toric:
+        raise ValueError("backend=toric requires a toric or quotient ring")
+    if toric and backend != "sequence":
+        s = toric_fsig_exact(ring, delta)
+        return FSignature(s, True, (s, s))
+    seq = fsig_sequence(ring, delta, e_max=e_max, deadline=deadline)
+    s = seq.last if seq.extrapolated is None else seq.extrapolated
+    return FSignature(s, False, (min(seq.last, s), max(seq.last, s)), seq)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ from .poly import (
 )
 
 
-class MissingGroebnerBasis(ValueError):
-    """Normal form was requested against an ideal without a cached basis."""
-
-
 def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     """S-polynomial of f and g."""
     mf, cf = f.leading_term(order)
@@ -169,16 +165,6 @@ class Ideal:
             cached = buchberger(self.generators, order)
             self._bases[order.name] = cached
         return cached
-
-    def has_cached_basis(self, order: MonomialOrder = GREVLEX) -> bool:
-        return order.name in self._bases
-
-    def normal_form(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-        if not self.has_cached_basis(order):
-            raise MissingGroebnerBasis(
-                "normal_form requires a cached basis; call groebner() first"
-            )
-        return normal_form(f, self._bases[order.name], order)
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self.groebner(GREVLEX), GREVLEX).is_zero()

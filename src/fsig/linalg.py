@@ -342,8 +342,10 @@ def multiplication_rank(
     With positive ``weights`` under which g is homogeneous the map is
     computed blockwise per weighted degree; the quotient pairs perfectly
     into its socle degree, so blocks past the midpoint mirror the early
-    ones and are not rebuilt.  Past ``deadline`` (a ``time.monotonic()``
-    value, checked before each graded block) it raises ``TimeoutError``.
+    ones and are not rebuilt.  Without weights the whole box, at most
+    ``_MAX_DENSE`` monomials, is one block.  Past ``deadline`` (a
+    ``time.monotonic()`` value, checked before each graded block) it
+    raises ``TimeoutError``.
     """
     p = g.p
     caps = tuple(int(c) for c in caps)
@@ -365,14 +367,12 @@ def multiplication_rank(
             raise ValueError(
                 "quotient too large for a dense ungraded rank; supply weights"
             )
-        exps, strides = _box_exponents(caps)
-        caps_arr = np.asarray(caps, dtype=np.int64)
-        everything = np.arange(total, dtype=np.int64)
-        mat = _block_matrix(g, caps_arr, exps, strides, everything, everything, total, dtype)
-        return _rank_inplace(mat, p, block)
-    weights = tuple(int(w) for w in weights)
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
+        # all-zero weights: one block holding the whole box, nothing mirrored
+        weights = (0,) * len(caps)
+    else:
+        weights = tuple(int(w) for w in weights)
+        if any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive")
     if not g.is_homogeneous(weights):
         raise ValueError("polynomial is not homogeneous under the given weights")
     deg_g = g.weighted_degree(weights)

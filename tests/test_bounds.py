@@ -10,7 +10,6 @@ from fsig.bounds import (
     etale_cover_search,
     index_bound,
     pi1_order_bound,
-    pi1_order_bound_sequence,
     purity_check,
     purity_from_value,
     veronese_bound,
@@ -60,7 +59,7 @@ def test_pi1_bound_core_json_shape():
 def test_pi1_bound_sequence_provisional():
     f = parse_polynomial("x*y - z^2", 3, 3, names=("x", "y", "z"))
     ring = RingPresentation.hypersurface(f, names=("x", "y", "z"))
-    report = pi1_order_bound_sequence(ring, None, e_max=2)
+    report = pi1_order_bound(ring, None, backend="sequence", e_max=2)
     assert report.provisional
     assert not report.exact
     assert report.bound_interval is not None
@@ -101,6 +100,18 @@ def test_purity_regular_no_covers():
     assert verdict.forced
     assert not verdict.admits_nontrivial_etale_cover
     assert verdict.covers_found == ()
+
+
+def test_purity_check_on_an_estimate():
+    # The sequence verdict judges min(last, estimate) = min(41/81, 13/27).
+    f = parse_polynomial("x*y - z^2", 3, 3, names=("x", "y", "z"))
+    ring = RingPresentation.hypersurface(f, names=("x", "y", "z"))
+    verdict = purity_check(ring, e_max=2)
+    assert verdict.s == Fraction(13, 27)
+    assert not verdict.exact and verdict.provisional and not verdict.forced
+    assert verdict.admits_nontrivial_etale_cover is None and verdict.covers_found == ()
+    on_quotient = purity_check(quotient_singularity(2, (1, 1), 3), backend="sequence", e_max=2)
+    assert on_quotient.s == verdict.s and on_quotient.provisional
 
 
 def test_etale_cover_search_degrees():

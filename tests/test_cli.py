@@ -1,11 +1,18 @@
 """End-to-end command tests: exit codes, report shapes, goldens."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fsig.cli import main
+from fsig.covers import TraceMap
 from fsig.serialize import parse_fraction_string
 
 
@@ -312,3 +319,78 @@ def test_sequence_flags_refused_where_unread(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--spec", spec, "--budget", "5"])
     assert exc.value.code == 2
+
+
+def test_purity_cross_check_survives_optimize(tmp_path):
+    # Under python -O an assert would vanish; the cross-check must still
+    # refuse a cover etale in codimension one above the purity threshold.
+    spec = write_spec(tmp_path, "spec.json",
+                      {"ring": {"type": "quotient", "n": 1, "weights": [1, 1], "p": 5}})
+    script = (
+        "import sys\n"
+        "from fsig import bounds, cli, quotient_cover\n"
+        "bounds.etale_cover_search = lambda ring: [quotient_cover(2, (1, 1), 5, 1)]\n"
+        f"sys.exit(cli.main(['purity', '--spec', {spec!r}]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "verification failure: a cover etale in codimension one exists despite purity"
+    )
+
+
+def test_verify_reports_trace_outside_maximal_ideal(tmp_path, monkeypatch):
+    # A trace that sent every generator to the unit monomial would leave m_R.
+    monkeypatch.setattr(TraceMap, "on_upper_monomial", lambda self, c: (1, (0,) * len(c)))
+    code, report = run(tmp_path, "verify", A1_COVER)
+    assert code == 4
+    assert report["trace"]["ok"] is False
+    assert report["ok"] is False
+
+
+RATIONALS = st.sampled_from(["0", "1/2", "1/3", "2/3", "1", "3/2", "-1/2", 0, 1])
+
+
+@st.composite
+def documents(draw):
+    """A command and a small document: quotients with n <= 6, pairs, covers."""
+    command = draw(st.sampled_from(["compute", "bounds", "purity", "verify", "chain"]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(-1, 7), min_size=1, max_size=3))
+    if command == "verify":
+        if draw(st.booleans()):
+            cover = {"type": "quotient_cover", "n": n, "weights": weights,
+                     "m": draw(st.integers(1, 6)), "p": p}
+        else:
+            cover = {"type": "root_cover", "n": n, "along": draw(st.integers(0, 2)), "p": p,
+                     "nvars": draw(st.integers(1, 3))}
+            if draw(st.booleans()):
+                cover["pair_t"] = draw(RATIONALS)
+        if draw(st.booleans()):
+            cover["expected_degree"] = draw(st.integers(1, 6))
+        return command, {"cover": cover}
+    if command == "bounds" and draw(st.booleans()):
+        return command, {"veronese": {"d_vars": draw(st.integers(1, 3)), "m": n, "p": p}}
+    doc = {"ring": {"type": "quotient", "n": n, "weights": weights, "p": p}}
+    if command == "chain":
+        return command, doc
+    if draw(st.booleans()):
+        doc["pair"] = {"facet_coeffs": draw(st.lists(RATIONALS, min_size=1, max_size=3))}
+    doc["options"] = {"e_max": draw(st.integers(1, 2)),
+                      "backend": draw(st.sampled_from(["auto", "toric", "sequence"]))}
+    if command == "bounds" and draw(st.booleans()):
+        doc["divisor_class"] = draw(st.lists(st.integers(-2, 4), min_size=1, max_size=3))
+    return command, doc
+
+
+@given(documents())
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_document_ends_in_a_known_exit_code(tmp_path, capsys, command_doc):
+    command, doc = command_doc
+    code, _ = run(tmp_path, command, doc)
+    capsys.readouterr()
+    assert code in (0, 2, 3, 4), (command, doc)

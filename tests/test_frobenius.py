@@ -16,6 +16,7 @@ from fsig.frobenius import (
     SplittingRecord,
     ctrick_gap_sequence,
     fsig_sequence,
+    fsig_value,
     hk_length_sequence,
     perturbed_limit_check,
     rounding_gap_check,
@@ -28,6 +29,7 @@ from fsig.frobenius import (
 from fsig.ideals import Ideal, quotient_length
 from fsig.linalg import find_positive_weights
 from fsig.poly import Polynomial, parse_polynomial
+from fsig.toric import quotient_singularity
 
 from _oracles import brute_colon_complement_length
 
@@ -35,6 +37,36 @@ from _oracles import brute_colon_complement_length
 def a1_surface(p=3):
     f = parse_polynomial("x*y - z^2", p, 3, names=("x", "y", "z"))
     return RingPresentation.hypersurface(f, names=("x", "y", "z"))
+
+
+@pytest.mark.parametrize("backend", ["auto", "toric", "sequence"])
+@pytest.mark.parametrize("kind", ["quotient", "hypersurface"])
+def test_fsig_value_dispatch(kind, backend):
+    # The A_1 point as the quotient 1/2(1,1) and as x*y - z^2, both at p = 3.
+    ring = quotient_singularity(2, (1, 1), 3) if kind == "quotient" else a1_surface()
+    if kind == "hypersurface" and backend == "toric":
+        with pytest.raises(ValueError, match="^backend=toric requires a toric or quotient ring$"):
+            fsig_value(ring, backend=backend)
+        return
+    value = fsig_value(ring, backend=backend, e_max=2)
+    if kind == "quotient" and backend != "sequence":
+        assert value.exact and value.sequence is None
+        assert value.s == Fraction(1, 2) and value.interval == (value.s, value.s)
+        return
+    seq = value.sequence
+    assert not value.exact
+    assert [r.a_e for r in seq.records] == [r.a_e for r in fsig_sequence(ring, e_max=2).records]
+    assert [r.a_e for r in seq.records] == [5, 41]
+    assert value.s == seq.extrapolated == Fraction(13, 27)
+    assert value.interval == (Fraction(13, 27), Fraction(41, 81))
+    assert seq.note.startswith("window counts") == (kind == "quotient")
+
+
+def test_fsig_value_single_record_and_unknown_backend():
+    value = fsig_value(a1_surface(), e_max=1)
+    assert value.s == Fraction(5, 9) and value.interval == (value.s, value.s)
+    with pytest.raises(ValueError, match="unknown backend"):
+        fsig_value(a1_surface(), backend="lattice")
 
 
 def test_a1_splitting_numbers():

@@ -1,9 +1,10 @@
 """Whole-report goldens: one document per branch of each command handler.
 
 Each golden under tests/goldens/ is a full report with the timing sidecar
-stripped, recorded by ``fsig <command> --golden tests/goldens``.  The CLI
-records silently when a golden is missing, so the test first asserts that
-the file exists.
+stripped, recorded by ``fsig <command> --golden tests/goldens``, and the
+``.txt`` file beside it is the table the same run prints on stderr.  The
+CLI records silently when a golden is missing, so the test first asserts
+that both files exist.
 """
 
 import json
@@ -49,10 +50,13 @@ DOCUMENTS = {
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
-def test_report_matches_golden(tmp_path, name):
+def test_report_matches_golden(tmp_path, capsys, name):
     command, doc = DOCUMENTS[name]
-    assert (GOLDEN_DIR / f"{command}__{name}.json").exists()
+    golden = GOLDEN_DIR / f"{command}__{name}.json"
+    table = GOLDEN_DIR / f"{command}__{name}.txt"
+    assert golden.exists() and table.exists()
     spec = tmp_path / f"{name}.json"
     spec.write_text(json.dumps(doc))
     out = tmp_path / "report.json"
     assert main([command, "--spec", str(spec), "--out", str(out), "--golden", str(GOLDEN_DIR)]) == 0
+    assert capsys.readouterr().err == table.read_text() + f"golden match: {golden}\n"

@@ -227,6 +227,24 @@ def test_multiplication_rank_without_weights_agrees():
     )
 
 
+def test_multiplication_rank_without_weights_matches_brute_force():
+    # Arbitrary g, homogeneous or not, with terms past the caps: the
+    # ungraded rank is the rank of the whole-box matrix.
+    rng = random.Random(31)
+    for _ in range(40):
+        p = rng.choice((2, 3, 5, 7))
+        nvars = rng.randint(1, 3)
+        caps = tuple(rng.randint(1, 5) for _ in range(nvars))
+        terms = {
+            tuple(rng.randint(0, c + 1) for c in caps): rng.randrange(1, p)
+            for _ in range(rng.randint(1, 8))
+        }
+        g = Polynomial(p, nvars, terms)
+        box = [tuple(int(x) for x in m) for m in linalg._box_exponents(caps)[0]]
+        expected = rank_mod_p_reference(brute_block_matrix(g, caps, box, box), p)
+        assert multiplication_rank(g, caps) == expected, (g, caps)
+
+
 def test_box_dimension():
     assert box_dimension((3, 3, 3)) == 27
     assert box_dimension((1, 5)) == 5
