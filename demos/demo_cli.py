@@ -35,7 +35,7 @@ documents = {
 
 jobs = [
     ("compute", "quotient.json"),      # exact toric backend
-    ("compute", "hypersurface.json"),  # colon-ideal sequence backend
+    ("compute", "hypersurface.json"),  # sequence backend (rank of the Fedder twist)
     ("verify", "cover.json"),          # transformation + doubling + trace
     ("chain", "chain.json"),           # full subgroup-lattice walk
     ("bounds", "quotient.json"),       # |pi_1| <= 1/s

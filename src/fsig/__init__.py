@@ -6,8 +6,9 @@ Two computational backends share one vocabulary:
   singularities (``toric``), where splitting numbers are certified
   window counts and the F-signature is a closed-form rational number;
 - a sequence backend for hypersurface and regular presentations
-  (``frobenius``), where splitting numbers come from colon-ideal
-  lengths and the limit is only ever estimated.
+  (``frobenius``), where splitting numbers are ranks of the Fedder twist
+  on P/m^[q], cross-checked by the Groebner length q^n - lambda(P/(m^[q], g)),
+  and the limit is only ever estimated.
 
 On top of these sit finite covers with trace maps and ramification
 divisors (``covers``) and quantitative consequences: etale fundamental
@@ -69,10 +70,9 @@ from .frobenius import (
     rounding_gap_check,
     sequence_diagnostics,
     sfr_witness,
-    splitting_ideal,
     splitting_number,
 )
-from .ideals import Ideal, colon_ideal, frobenius_power, quotient_length
+from .ideals import Ideal, frobenius_power, quotient_length
 from .poly import ParseError, Polynomial, parse_polynomial
 from .toric import (
     FreeClassCertificate,
@@ -119,7 +119,6 @@ __all__ = [
     "canonical_divisor",
     "chain_simulation",
     "class_order",
-    "colon_ideal",
     "compose_covers",
     "count_trace_summands",
     "cyclic_index_cover",
@@ -147,7 +146,6 @@ __all__ = [
     "rounding_gap_check",
     "sequence_diagnostics",
     "sfr_witness",
-    "splitting_ideal",
     "splitting_number",
     "toric_fsig_exact",
     "toric_splitting_certificates",

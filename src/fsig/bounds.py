@@ -12,11 +12,12 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .covers import CoverDescriptor, VerificationFailure, _build_cover, quotient_cover
+from .covers import CoverDescriptor, _build_cover, quotient_cover
 from .frobenius import PairDivisor, RingPresentation, fsig_value
 from .toric import (
     ToricRing,
     TorusQDivisor,
+    _require,
     fraction_matrix_inverse,
     integer_det,
     primitive_vector,
@@ -59,11 +60,6 @@ class BoundReport:
         if self.bound_interval is not None:
             details["bound_interval"] = list(self.bound_interval)
         return details
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise VerificationFailure(message)
 
 
 def pi1_order_bound(
@@ -168,20 +164,16 @@ def purity_check(
     e_max: int = 3,
     deadline: float | None = None,
 ) -> PurityVerdict:
-    """Purity verdict on s from ``fsig_value``.
+    """Purity verdict on s from ``fsig_value``; an estimate's is provisional.
 
-    An estimate is judged on min(last value, estimate) and is
-    provisional.  An exact value without a pair is cross-checked against
-    the cover constructors: when purity is forced the constructible-family
-    search must come back empty; at the boundary s = 1/2 a nontrivial
-    cover may exist and the verdict records it.
+    An exact value without a pair is cross-checked against the cover
+    constructors: when purity is forced the constructible-family search
+    must come back empty; at the boundary s = 1/2 a nontrivial cover may
+    exist and the verdict records it.
     """
     value = fsig_value(ring, delta, backend, e_max, deadline)
-    if not value.exact:
-        seq = value.sequence
-        return purity_from_value(min(seq.last, seq.estimate), ring.p, exact=False, provisional=True)
-    verdict = purity_from_value(value.s, ring.p)
-    if delta is not None:
+    verdict = purity_from_value(value.s, ring.p, exact=value.exact, provisional=not value.exact)
+    if not value.exact or delta is not None:
         return verdict
     covers = etale_cover_search(ring)
     _require(not (verdict.forced and covers),

@@ -18,6 +18,8 @@ from typing import Sequence
 from .toric import (
     ToricRing,
     TorusQDivisor,
+    VerificationFailure,  # raised by _require; fsig.covers keeps exporting it
+    _require,
     adjugate,
     fraction_matrix_inverse,
     integer_det,
@@ -31,10 +33,6 @@ Vector = tuple[int, ...]
 
 class CoverConstructionError(ValueError):
     """The requested cover violates a constructor precondition."""
-
-
-class VerificationFailure(RuntimeError):
-    """A mathematical check that must hold did not; the CLI exits 4."""
 
 
 class NonEffectivePairError(ValueError):
@@ -101,8 +99,12 @@ class CoverDescriptor:
     wild: bool = False
 
     def __post_init__(self):
-        assert self.degree % self.residue_degree == 0
-        assert self.etale_in_codim1 == self.ram.is_zero()
+        if self.degree % self.residue_degree:
+            raise CoverConstructionError(
+                f"residue degree {self.residue_degree} does not divide the degree {self.degree}"
+            )
+        if self.etale_in_codim1 != self.ram.is_zero():
+            raise CoverConstructionError("etale_in_codim1 disagrees with the ramification divisor")
         if self.etale_in_codim1 and self.residue_degree == 1 and not self.wild:
             if self.degree % self.lower.p == 0:
                 raise CoverConstructionError(
@@ -138,7 +140,9 @@ def _transition_data(lower: ToricRing, upper: ToricRing, t_matrix: Sequence[Sequ
             )
         ratios = {a // b for a, b in zip(pulled, prim) if b != 0}
         e_f = ratios.pop()
-        assert not ratios and e_f > 0
+        _require(not ratios and e_f > 0,
+                 f"facet {f_idx} of the upper ring pulls back to {pulled}, "
+                 f"not a positive multiple of {prim}")
         indices.append(e_f)
         match.append(g_idx)
     if sorted(match) != list(range(d)):
@@ -157,9 +161,8 @@ def _build_cover(
     ram = TorusQDivisor(tuple(Fraction(e - 1) for e in indices))
     if not wild:
         for f_idx, e_f in enumerate(indices):
-            assert e_f % lower.p != 0, (
-                f"wild ramification at facet {f_idx}: p | e = {e_f}"
-            )
+            if e_f % lower.p == 0:
+                raise CoverConstructionError(f"wild ramification at facet {f_idx}: p | e = {e_f}")
     trace = TraceMap(p=lower.p, degree=degree, transition=t_rows)
     return CoverDescriptor(
         lower=lower,
@@ -205,7 +208,7 @@ def quotient_cover(n: int, weights: Sequence[int], p: int, m: int) -> CoverDescr
             out.append(int(x))
         t_matrix.append(out)
     cover = _build_cover(lower, upper, t_matrix, kind="quotient")
-    assert cover.degree == n // m
+    _require(cover.degree == n // m, f"the quotient cover has degree {cover.degree}, not {n // m}")
     return cover
 
 
@@ -241,7 +244,8 @@ def root_cover(
 
 def ramification_divisor(cover: CoverDescriptor) -> TorusQDivisor:
     """Ram = K_S - pi^* K_R, with coefficient e_F - 1 on the facet F."""
-    assert not cover.wild, "ramification divisor requires a tame (separable) cover"
+    if cover.wild:
+        raise ValueError("ramification divisor requires a tame (separable) cover")
     return cover.ram
 
 
@@ -282,9 +286,10 @@ def compose_covers(first: CoverDescriptor, second: CoverDescriptor) -> CoverDesc
         for i in range(d)
     ]
     composite = _build_cover(first.lower, second.upper, t_matrix, kind="composite")
-    assert composite.degree == first.degree * second.degree
+    _require(composite.degree == first.degree * second.degree,
+             "the degree of the composite is not the product of the degrees")
     tower = second.ram + pullback_divisor(second, first.ram)
-    assert composite.ram == tower, "tower additivity of ramification failed"
+    _require(composite.ram == tower, "tower additivity of ramification failed")
     return composite
 
 
@@ -319,7 +324,7 @@ def verify_note_trace(cover: CoverDescriptor) -> TraceReport:
     rows = []
     for g_amb in gens:
         c_up = upper.intrinsic_from_ambient(g_amb)
-        assert c_up is not None
+        _require(c_up is not None, f"Hilbert basis generator {g_amb} is outside the upper lattice")
         coeff, c_low = cover.trace.on_upper_monomial(c_up)
         in_lower = c_low is not None
         in_max = coeff == 0 or (in_lower and any(x > 0 for x in cover.lower.pairing(c_low)))
@@ -376,7 +381,8 @@ def verify_transformation(
     Delta_Y = 0 is the correct pullback) and the lower ring strongly
     F-regular; with a pair, Delta_Y = pi^* Delta_X - Ram must be effective.
     """
-    assert not cover.wild
+    if cover.wild:
+        raise ValueError("the transformation rule requires a tame (separable) cover")
     if delta_lower is None:
         if not cover.etale_in_codim1:
             facet = next(i for i, c in enumerate(cover.ram.coefficients) if c != 0)
@@ -423,7 +429,8 @@ def doubling_check(cover: CoverDescriptor) -> DoublingReport:
     applies to every nontrivial etale-in-codimension-one cover; the
     identity cover passes vacuously.
     """
-    assert cover.etale_in_codim1
+    if not cover.etale_in_codim1:
+        raise ValueError("the doubling check requires a cover etale in codimension one")
     s_lower = toric_fsig_exact(cover.lower)
     s_upper = toric_fsig_exact(cover.upper)
     if cover.degree == 1:
@@ -480,7 +487,8 @@ def chain_simulation(ring: ToricRing) -> ChainReport:
             ok = False
     s_start = s_values[0]
     if all(etale_flags) and steps:
-        assert 2 ** len(steps) <= 1 / s_start
+        _require(2 ** len(steps) <= 1 / s_start,
+                 f"{len(steps)} etale steps exceed log2(1/s) for s = {s_start}")
     return ChainReport(
         steps=tuple(steps),
         s_values=tuple(s_values),

@@ -1,14 +1,16 @@
-"""Splitting ideals, splitting numbers, and F-signature sequences.
+"""Splitting numbers and F-signature sequences.
 
 Rings are presented either as a polynomial ring over GF(p) (regular) or
-as a hypersurface quotient P/(f).  Splitting ideals follow the colon
-realization I_e = (m^[q] : f^(q-1) * prod g_j^(r_j)) in the ambient ring;
-splitting numbers are computed as the rank of multiplication by the same
-twist on P/m^[q], which equals the colon-quotient length and avoids large
-basis computations.  The two routes are cross-checked in the test suite.
-fsig_sequence also takes a toric ring, whose splitting numbers are the
-lattice window counts of fsig.toric; fsig_value picks between that
-estimate and the exact lattice value.
+as a hypersurface quotient P/(f).  By Fedder's criterion the splitting
+number is a_e = lambda(P/(m^[q] : g)) for the twist
+g = f^(q-1) * prod g_j^(r_j), which is the rank of multiplication by g
+on P/m^[q]; that rank is how a_e is computed.  The Groebner route
+(``method="colon"``) cross-checks it without linear algebra: the exact
+sequence 0 -> P/(m^[q] : g) -> P/m^[q] -> P/(m^[q], g) -> 0 gives
+a_e = q^n - lambda(P/(m^[q], g)).  fsig_sequence also takes a toric
+ring, whose splitting numbers are the lattice window counts of
+fsig.toric; fsig_value picks between that estimate and the exact
+lattice value.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ideals import Ideal, colon_ideal, frobenius_power, ideal_sum, quotient_length
+from .ideals import Ideal, frobenius_power, ideal_sum, quotient_length
 from .linalg import find_positive_weights, multiplication_rank
-from .poly import Polynomial, default_names
+from .poly import Polynomial
 from .toric import ToricRing, TorusQDivisor, toric_fsig_exact, toric_splitting_number
 
 FLOOR_PE = "floor_pe"
@@ -86,24 +88,9 @@ class RingPresentation:
     def d(self) -> int:
         return self.nvars if self.kind == "regular" else self.nvars - 1
 
-    def variable_names(self) -> tuple[str, ...]:
-        return self.names if self.names is not None else default_names(self.nvars)
-
     def maximal_ideal(self) -> Ideal:
         gens = [Polynomial.variable(i, self.p, self.nvars) for i in range(self.nvars)]
         return Ideal(self.p, self.nvars, gens)
-
-    def is_degenerate(self) -> bool:
-        """True when f lies in m^[p], which forces every a_e to vanish."""
-        if self.kind == "regular":
-            return False
-        return in_bracket_maximal(self.f, self.p)
-
-    def is_f_pure(self) -> bool:
-        """Splitness at e = 1: f^(p-1) outside m^[p] (trivially true if regular)."""
-        if self.kind == "regular":
-            return True
-        return not in_bracket_maximal(self.f ** (self.p - 1), self.p)
 
 
 def in_bracket_maximal(g: Polynomial, q: int) -> bool:
@@ -190,19 +177,6 @@ def _twist(
     return q, g, tuple(factors)
 
 
-def splitting_ideal(ring: RingPresentation, delta: PairDivisor | None, e: int) -> Ideal:
-    """The splitting ideal I_e = (m^[q] : twist), computed in the ambient ring.
-
-    This is the explicit colon route; splitting_number uses an equivalent
-    rank computation and the two are compared in tests at small e.
-    """
-    q, g, _ = _twist(ring, delta, e)
-    bracket = Ideal.bracket_maximal(ring.p, ring.nvars, q)
-    if g.total_degree() == 0:
-        return bracket
-    return colon_ideal(bracket, g)
-
-
 def splitting_number(
     ring: RingPresentation,
     delta: PairDivisor | None = None,
@@ -210,20 +184,23 @@ def splitting_number(
     method: str = "auto",
     deadline: float | None = None,
 ) -> int:
-    """a_e = length of P/I_e, the free rank of the e-th Frobenius pushforward.
+    """a_e = lambda(P/(m^[q] : g)), the free rank of the e-th Frobenius pushforward.
 
-    The rank route stops with ``TimeoutError`` past ``deadline`` (see
-    ``multiplication_rank``); the colon route does not check it.
+    ``method="colon"`` computes q^n - lambda(P/(m^[q], g)) from a GREVLEX
+    basis instead of the rank of g on P/m^[q].  The rank route stops with
+    ``TimeoutError`` past ``deadline`` (see ``multiplication_rank``); the
+    colon route does not check it.
     """
-    if method == "colon":
-        length = quotient_length(splitting_ideal(ring, delta, e))
-        if length == math.inf:
-            raise ValueError("splitting ideal does not have finite colength")
-        return int(length)
-    if method != "auto":
+    if method not in ("auto", "colon"):
         raise ValueError(f"unknown method {method!r}")
     q, g, factors = _twist(ring, delta, e)
-    return _colon_length(ring, g, q, factors, deadline)
+    if method == "auto":
+        return _colon_length(ring, g, q, factors, deadline)
+    bracket = Ideal.bracket_maximal(ring.p, ring.nvars, q)
+    length = quotient_length(ideal_sum(bracket, Ideal(ring.p, ring.nvars, [g])))
+    if length == math.inf:
+        raise ValueError("m^[q] + (twist) does not have finite colength")
+    return q**ring.nvars - int(length)
 
 
 def _colon_length(
@@ -250,7 +227,6 @@ class SplittingRecord:
     q: int
     a_e: int
     normalized: Fraction
-    ideal: Ideal | None = None
 
 
 @dataclass
@@ -303,7 +279,6 @@ def fsig_sequence(
     ring: RingPresentation | ToricRing,
     delta: PairDivisor | TorusQDivisor | None = None,
     e_max: int = 4,
-    include_ideals: bool = False,
     deadline: float | None = None,
 ) -> SplittingSequence:
     """Splitting numbers a_e for e = 1..e_max with the normalized estimate.
@@ -317,8 +292,6 @@ def fsig_sequence(
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     toric = isinstance(ring, ToricRing)
-    if toric and include_ideals:
-        raise ValueError("splitting ideals need a ring presentation")
     records: list[SplittingRecord] = []
     for e in range(1, e_max + 1):
         if deadline is not None and time.monotonic() > deadline:
@@ -331,8 +304,7 @@ def fsig_sequence(
                 a_e = splitting_number(ring, delta, e, deadline=deadline)
             except TimeoutError:
                 raise BudgetExceeded(f"time budget exhausted during e = {e}", records) from None
-        ideal = splitting_ideal(ring, delta, e) if include_ideals else None
-        records.append(SplittingRecord(e, q, a_e, Fraction(a_e, q**ring.d), ideal))
+        records.append(SplittingRecord(e, q, a_e, Fraction(a_e, q**ring.d)))
     extrapolated, consistent, monotone = sequence_diagnostics(records)
     sequence = SplittingSequence(
         ring, delta, records, records[-1].normalized, extrapolated, consistent, monotone
@@ -346,9 +318,10 @@ def fsig_sequence(
 class FSignature:
     """s(R, Delta), exact or estimated, with the interval it is known to lie in.
 
-    An estimate's ``s`` is the extrapolation of ``sequence`` (its last
-    value when there is only one record) and ``interval`` spans it and the
-    last normalized value; an exact value has ``interval == (s, s)``.
+    An estimate's ``s`` is min(last, estimate) of ``sequence``, the value
+    bounds and purity verdicts are judged on; ``interval`` spans the last
+    normalized value and the extrapolation (the last value when there is
+    only one record).  An exact value has ``interval == (s, s)``.
     """
 
     s: Fraction
@@ -379,8 +352,8 @@ def fsig_value(
         s = toric_fsig_exact(ring, delta)
         return FSignature(s, True, (s, s))
     seq = fsig_sequence(ring, delta, e_max=e_max, deadline=deadline)
-    s = seq.last if seq.extrapolated is None else seq.extrapolated
-    return FSignature(s, False, (min(seq.last, s), max(seq.last, s)), seq)
+    fit = seq.last if seq.extrapolated is None else seq.extrapolated
+    return FSignature(min(seq.last, seq.estimate), False, (min(seq.last, fit), max(seq.last, fit)), seq)
 
 
 @dataclass(frozen=True)

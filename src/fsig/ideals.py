@@ -1,4 +1,4 @@
-"""Ideals in GF(p)[x0..x{n-1}]: Buchberger, normal forms, colon ideals, lengths.
+"""Ideals in GF(p)[x0..x{n-1}]: Buchberger, normal forms, bracket powers, lengths.
 
 The basis computation is plain Buchberger with the coprimality and chain
 criteria, followed by minimalization and interreduction, so each ideal
@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 from .field import inverse_mod
 from .poly import (
     GREVLEX,
-    Elimination,
     Monomial,
     MonomialOrder,
     Polynomial,
@@ -172,62 +171,6 @@ class Ideal:
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal(GF({self.p}), <{inside}>)"
-
-
-def _shift_vars(f: Polynomial, extra: int) -> Polynomial:
-    """Reinterpret f in a ring with ``extra`` new leading variables."""
-    terms = {(0,) * extra + m: c for m, c in f.terms.items()}
-    return Polynomial(f.p, f.nvars + extra, terms)
-
-
-def _drop_first_var(f: Polynomial) -> Polynomial:
-    terms = {m[1:]: c for m, c in f.terms.items()}
-    return Polynomial(f.p, f.nvars - 1, terms)
-
-
-def ideal_intersection(left: Ideal, right: Ideal) -> Ideal:
-    """Intersection via one elimination variable t: eliminate t from t*L + (1-t)*R."""
-    if left.p != right.p or left.nvars != right.nvars:
-        raise ValueError("ideals live in different rings")
-    p, nvars = left.p, left.nvars
-    t = Polynomial.variable(0, p, nvars + 1)
-    one = Polynomial.one(p, nvars + 1)
-    gens = [t * _shift_vars(g, 1) for g in left.generators]
-    gens += [(one - t) * _shift_vars(g, 1) for g in right.generators]
-    basis = buchberger(gens, Elimination(1))
-    eliminated = [
-        _drop_first_var(g) for g in basis if all(m[0] == 0 for m in g.terms)
-    ]
-    return Ideal(p, nvars, eliminated)
-
-
-def divide_exactly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    p = f.p
-    quotient = Polynomial.zero(p, f.nvars)
-    work = f
-    lm, lc = g.leading_term(GREVLEX)
-    while not work.is_zero():
-        m, c = work.leading_term(GREVLEX)
-        if not monomial_divides(lm, m):
-            raise ValueError("division is not exact")
-        factor = (c * inverse_mod(lc, p)) % p
-        mono = monomial_div(m, lm)
-        quotient = quotient + Polynomial.monomial(mono, p, factor)
-        work = work - g.multiply_monomial(mono, factor)
-    return quotient
-
-
-def colon_ideal(ideal: Ideal, f: Polynomial) -> Ideal:
-    """The colon ideal (I : f), computed as (I ∩ <f>) / f."""
-    if f.is_zero():
-        raise ValueError("colon by zero is the unit ideal question; not supported")
-    if f.p != ideal.p or f.nvars != ideal.nvars:
-        raise ValueError("polynomial lives in a different ring")
-    inter = ideal_intersection(ideal, Ideal(ideal.p, ideal.nvars, [f]))
-    return Ideal(ideal.p, ideal.nvars, [divide_exactly(g, f) for g in inter.generators])
 
 
 def frobenius_power(ideal: Ideal, q: int) -> Ideal:

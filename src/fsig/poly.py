@@ -64,32 +64,6 @@ class Lex(MonomialOrder):
         return m
 
 
-class Elimination(MonomialOrder):
-    """Block order eliminating the first ``k`` variables.
-
-    Monomials are compared grevlex on the first block, ties broken
-    grevlex on the remaining variables, so any polynomial whose leading
-    monomial avoids the first block lies in the subring without them.
-    """
-
-    name = "elimination"
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("elimination block must contain at least one variable")
-        self.k = k
-        self.name = f"elimination({k})"
-
-    def key(self, m: Monomial):
-        head, tail = m[: self.k], m[self.k :]
-        return (
-            sum(head),
-            tuple(-e for e in reversed(head)),
-            sum(tail),
-            tuple(-e for e in reversed(tail)),
-        )
-
-
 GREVLEX = GrevLex()
 LEX = Lex()
 

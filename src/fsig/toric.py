@@ -22,6 +22,15 @@ import numpy as np
 Vector = tuple[int, ...]
 
 
+class VerificationFailure(RuntimeError):
+    """A mathematical check that must hold did not; the CLI exits 4."""
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise VerificationFailure(message)
+
+
 # -- small exact linear algebra over Z / Q --------------------------------
 
 
@@ -66,7 +75,7 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
             if work[i][c] != 0:
                 f = work[i][c] * inv
                 work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    assert det.denominator == 1
+    _require(det.denominator == 1, "the determinant of an integer matrix is not an integer")
     return int(det)
 
 
@@ -81,7 +90,7 @@ def adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
         out = []
         for x in row:
             y = x * det
-            assert y.denominator == 1
+            _require(y.denominator == 1, "the adjugate of an integer matrix is not integral")
             out.append(int(y))
         adj.append(out)
     return adj, det
@@ -204,9 +213,6 @@ class TorusQDivisor:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
-
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coefficients)
 
     def check_pair_range(self) -> None:
         for c in self.coefficients:
@@ -381,13 +387,13 @@ class ToricRing:
                 continue
             num = -sum(self.normals[g_idx][i] * z[i] for i in range(self.d))
             den = sum(self.normals[g_idx][i] * u_f[i] for i in range(self.d))
-            assert den > 0
+            _require(den > 0, f"facet {g_idx} does not pair positively with the rays off facet {facet}")
             if num > 0:
                 n_shift = max(n_shift, -(-num // den))
         m = tuple(z[i] + n_shift * u_f[i] for i in range(self.d))
         pairing = self.pairing(m)
-        assert pairing[facet] == -1
-        assert all(x >= 0 for i, x in enumerate(pairing) if i != facet)
+        _require(pairing[facet] == -1 and all(x >= 0 for i, x in enumerate(pairing) if i != facet),
+                 f"descent vector {m} for facet {facet} has pairing {pairing}")
         return m
 
     # -- Hilbert basis --
@@ -483,7 +489,7 @@ def quotient_singularity(n: int, weights: Sequence[int], p: int) -> ToricRing:
             break
     basis = congruence_lattice_basis(weights, n)
     det_b = integer_det(basis)
-    assert abs(det_b) == n
+    _require(abs(det_b) == n, f"the congruence lattice has index {abs(det_b)}, not {n}")
     normals = []
     for i in range(d):
         col = [basis[r][i] for r in range(d)]
@@ -638,7 +644,7 @@ def _obstruction_pair(ring: ToricRing, residue: Vector, q: int) -> tuple[Vector,
     rays = ring.extreme_rays()
     rho = tuple(sum(r[i] for r in rays) for i in range(ring.d))
     rho_pair = ring.pairing(rho)
-    assert all(x > 0 for x in rho_pair)
+    _require(all(x > 0 for x in rho_pair), "the sum of the extreme rays is not interior")
     k = 0
     v0 = residue
     while not all(x >= 0 for x in ring.pairing(v0)):
@@ -647,21 +653,20 @@ def _obstruction_pair(ring: ToricRing, residue: Vector, q: int) -> tuple[Vector,
     caps = ring.pairing(v0)
     points = _class_points_below(ring, residue, q, caps)
     minimals = _minimal_elements(ring, points)
-    assert minimals
+    _require(bool(minimals), f"residue class {residue} has no minimal element below {caps}")
     m1 = min(minimals)
     p1 = ring.pairing(m1)
     facet = next(i for i, x in enumerate(p1) if x >= q)
     shift = ring.descent_vector(facet)
     z = tuple(m1[i] + q * shift[i] for i in range(ring.d))
     caps2 = ring.pairing(z)
-    assert all(x >= 0 for x in caps2)
+    _require(all(x >= 0 for x in caps2), "the descended class member leaves the cone")
     points2 = _class_points_below(ring, residue, q, caps2)
     minimals2 = _minimal_elements(ring, points2)
     m2 = next(m for m in minimals2 if m != m1)
     pair1, pair2 = ring.pairing(m1), ring.pairing(m2)
-    assert any(a < b for a, b in zip(pair1, pair2)) and any(
-        a > b for a, b in zip(pair1, pair2)
-    )
+    _require(any(a < b for a, b in zip(pair1, pair2)) and any(a > b for a, b in zip(pair1, pair2)),
+             f"obstruction pair {m1}, {m2} of residue class {residue} is comparable")
     bound = tuple(max(a, b) for a, b in zip(caps, caps2))
     return m1, m2, bound
 

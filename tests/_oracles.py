@@ -13,7 +13,9 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from fsig.poly import Polynomial
+from fsig.frobenius import RingPresentation, in_bracket_maximal
+from fsig.poly import Polynomial, default_names
+from fsig.toric import TorusQDivisor
 
 
 def iter_box_monomials(caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -182,3 +184,23 @@ def normalized_window_fraction(normals, q: int) -> Fraction:
     """
     d = len(normals[0])
     return Fraction(brute_window_count(normals, q, (q - 1,) * len(normals)), q**d)
+
+
+def variable_names(ring: RingPresentation) -> tuple[str, ...]:
+    """The ring's variable names, x0..x{n-1} when none were given."""
+    return ring.names if ring.names is not None else default_names(ring.nvars)
+
+
+def is_degenerate(ring: RingPresentation) -> bool:
+    """True when f lies in m^[p], which forces every a_e to vanish."""
+    return ring.kind == "hypersurface" and in_bracket_maximal(ring.f, ring.p)
+
+
+def is_f_pure(ring: RingPresentation) -> bool:
+    """Splitness at e = 1: f^(p-1) outside m^[p] (trivially true if regular)."""
+    return ring.kind == "regular" or not in_bracket_maximal(ring.f ** (ring.p - 1), ring.p)
+
+
+def is_effective(divisor: TorusQDivisor) -> bool:
+    """Every facet coefficient is nonnegative."""
+    return all(c >= 0 for c in divisor.coefficients)

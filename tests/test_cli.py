@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, report shapes, goldens."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fsig
 from fsig.cli import main
 from fsig.covers import TraceMap
 from fsig.serialize import parse_fraction_string
@@ -339,6 +341,37 @@ def test_purity_cross_check_survives_optimize(tmp_path):
     assert proc.stderr.strip().splitlines()[-1] == (
         "verification failure: a cover etale in codimension one exists despite purity"
     )
+
+
+def test_no_assert_statements_in_src():
+    # Checks written as assert vanish under python -O; each must raise a typed error.
+    paths = sorted(Path(fsig.__file__).parent.glob("*.py"))
+    assert paths
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("command", ["bounds", "purity"])
+def test_bounds_and_purity_judge_the_same_estimate(tmp_path, command):
+    # The last value 1/4 lies below the extrapolation 1/2; both commands
+    # take s = min(last, estimate) and its floor 4 as the bound.
+    doc = {
+        "ring": {"type": "hypersurface", "p": 2, "nvars": 3, "f": "x0*x1 + x2^2"},
+        "pair": {"components": [{"g": "x0 + x1", "t": "1/3"}], "convention": "ceil_pe_minus_1"},
+        "options": {"e_max": 2},
+    }
+    code, report = run(tmp_path, command, doc)
+    assert code == 0
+    assert report["bound_report"]["s"] == "1/4"
+    assert report["bound_report"]["bound"] == 4
+    if command == "bounds":
+        assert report["details"]["s_interval"] == ["1/4", "1/2"]
+        assert report["details"]["bound_interval"] == [2, 4]
 
 
 def test_verify_reports_trace_outside_maximal_ideal(tmp_path, monkeypatch):

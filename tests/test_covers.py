@@ -72,6 +72,8 @@ def test_root_cover_kummer():
     assert list(cover.ram.coefficients) == [1, 0]
     ram = ramification_divisor(cover)
     assert list(ram.coefficients) == [1, 0]
+    with pytest.raises(ValueError, match="etale in codimension one"):
+        doubling_check(cover)
 
 
 def test_root_cover_wild_needs_flag():
@@ -81,6 +83,10 @@ def test_root_cover_wild_needs_flag():
     assert cover.wild
     assert not cover.trace.is_surjective()
     assert count_trace_summands(cover) == 0
+    with pytest.raises(ValueError, match="tame"):
+        ramification_divisor(cover)
+    with pytest.raises(ValueError, match="tame"):
+        verify_transformation(cover)
 
 
 def test_trace_on_upper_monomials():

@@ -22,16 +22,14 @@ from fsig.frobenius import (
     rounding_gap_check,
     sequence_diagnostics,
     sfr_witness,
-    splitting_ideal,
     splitting_number,
     _twist,
 )
-from fsig.ideals import Ideal, quotient_length
 from fsig.linalg import find_positive_weights
 from fsig.poly import Polynomial, parse_polynomial
 from fsig.toric import quotient_singularity
 
-from _oracles import brute_colon_complement_length
+from _oracles import brute_colon_complement_length, is_degenerate, is_f_pure
 
 
 def a1_surface(p=3):
@@ -75,12 +73,44 @@ def test_a1_splitting_numbers():
     assert [splitting_number(ring, None, e) for e in (1, 2, 3)] == [5, 41, 365]
 
 
-def test_a1_colon_route_agrees():
-    ring = a1_surface()
-    for e in (1, 2):
-        assert splitting_number(ring, None, e, method="colon") == splitting_number(
-            ring, None, e
-        )
+@pytest.mark.parametrize(
+    "f, p, e, pair, convention, expected",
+    [
+        ("x*y - z^2", 3, 1, (), FLOOR_PE, 5),
+        ("x*y - z^2", 3, 2, (), FLOOR_PE, 41),
+        ("x*y - z^3", 5, 2, (), FLOOR_PE, 209),
+        ("x*y - z^2", 3, 2, (("x + z", "1/3"),), FLOOR_PE, 18),
+        ("x*y - z^2", 3, 2, (("y + z", "1/2"),), CEIL_PE_MINUS_1, 13),
+        ("x*y + y*z + z*x", 3, 2, (), FLOOR_PE, 41),
+        ("x^2 + y^3 + z^5", 3, 2, (), FLOOR_PE, 0),
+        ("x^2 + y^2*z + z^3", 5, 1, (), FLOOR_PE, 4),
+        (None, 5, 2, (), FLOOR_PE, 25**3),
+        (None, 5, 1, (("x", "1/2"),), CEIL_PE_MINUS_1, 75),
+    ],
+    ids=["a1-p3-e1", "a1-p3-e2", "a2-p5-e2", "a1-floor-pair-p3-e2", "a1-ceil-pair-p3-e2",
+         "xy+yz+zx-p3-e2", "e8-p3-e2", "d4-p5-e1", "regular-p5-e2", "regular-ceil-pair-p5-e1"],
+)
+def test_a1_colon_route_agrees(f, p, e, pair, convention, expected):
+    # The Groebner length q^n - lambda(P/(m^[q], g)) against the rank of g;
+    # f = None is the regular ring GF(p)[x, y, z], whose unit twist gives q^3.
+    names = ("x", "y", "z")
+    if f is None:
+        ring = RingPresentation.regular(p, 3, names=names)
+    else:
+        ring = RingPresentation.hypersurface(parse_polynomial(f, p, 3, names=names), names=names)
+    delta = PairDivisor.of(
+        [(parse_polynomial(g, p, 3, names=names), Fraction(t)) for g, t in pair], convention
+    )
+    assert splitting_number(ring, delta, e, method="colon") == expected
+    assert splitting_number(ring, delta, e) == expected
+
+
+def test_colon_route_does_not_use_the_rank_kernel(monkeypatch):
+    def no_rank(*args, **kwargs):
+        raise AssertionError("the colon route called multiplication_rank")
+
+    monkeypatch.setattr(frobenius, "multiplication_rank", no_rank)
+    assert splitting_number(a1_surface(), None, 2, method="colon") == 41
 
 
 def test_colon_route_rejects_infinite_length(monkeypatch):
@@ -218,15 +248,15 @@ def test_sfr_witness_inconclusive_is_not_negative():
 def test_degenerate_hypersurface_all_splittings_vanish():
     f = parse_polynomial("x^3", 3, 2, names=("x", "y"))
     ring = RingPresentation.hypersurface(f, names=("x", "y"))
-    assert ring.is_degenerate()
-    assert not ring.is_f_pure()
+    assert is_degenerate(ring)
+    assert not is_f_pure(ring)
     assert splitting_number(ring, None, 1) == 0
 
 
 def test_f_purity_of_a1():
     ring = a1_surface()
-    assert ring.is_f_pure()
-    assert not ring.is_degenerate()
+    assert is_f_pure(ring)
+    assert not is_degenerate(ring)
 
 
 def test_budget_exceeded_carries_partial_records():
@@ -252,13 +282,6 @@ def test_budget_checked_between_graded_blocks(monkeypatch):
     with pytest.raises(BudgetExceeded, match="during e = 2") as err:
         fsig_sequence(a1_surface(), e_max=3, deadline=1.0)
     assert [r.a_e for r in err.value.records] == [5]
-
-
-def test_splitting_ideal_length_matches_number():
-    ring = a1_surface()
-    for e in (1, 2):
-        ideal = splitting_ideal(ring, None, e)
-        assert quotient_length(ideal) == splitting_number(ring, None, e)
 
 
 def test_sequence_diagnostics_two_point_formula():
