@@ -18,8 +18,6 @@ from .toric import (
     ToricRing,
     TorusQDivisor,
     _require,
-    fraction_matrix_inverse,
-    integer_det,
     primitive_vector,
     quotient_singularity,
     row_lattice_basis,
@@ -147,10 +145,9 @@ def etale_cover_search(ring: ToricRing) -> list[CoverDescriptor]:
     if ring.group_order is None or ring.group_weights is None or ring.group_order == 1:
         return []
     n = ring.group_order
+    small_divisors = [m for m in range(1, math.isqrt(n) + 1) if n % m == 0]
     found = []
-    for m in range(1, n):
-        if n % m:
-            continue
+    for m in sorted(set(small_divisors + [n // m for m in small_divisors]) - {n}):
         cover = quotient_cover(n, ring.group_weights, ring.p, m)
         if cover.etale_in_codim1:
             found.append(cover)
@@ -194,14 +191,18 @@ class IndexReport:
     theorem: str = "index"
 
 
-def class_order(ring: ToricRing, facet_coeffs) -> int:
-    """Order of a divisor class in Cl = Z^facets / (pairing image)."""
+def _class_vector(ring: ToricRing, facet_coeffs) -> tuple[list[Fraction], int]:
+    """The rational u_D pairing to the class coefficients, and the class order."""
     coeffs = [int(c) for c in facet_coeffs]
     if len(coeffs) != ring.nfacets:
         raise ValueError("class coefficients do not match the facet count")
-    inv = fraction_matrix_inverse(ring.normals)
-    u = [sum(inv[i][j] * coeffs[j] for j in range(ring.d)) for i in range(ring.d)]
-    return math.lcm(*(x.denominator for x in u))
+    u = [Fraction(sum(a * c for a, c in zip(row, coeffs)), ring._det) for row in ring._adj]
+    return u, math.lcm(*(x.denominator for x in u))
+
+
+def class_order(ring: ToricRing, facet_coeffs) -> int:
+    """Order of a divisor class in Cl = Z^facets / (pairing image)."""
+    return _class_vector(ring, facet_coeffs)[1]
 
 
 def cyclic_index_cover(ring: ToricRing, facet_coeffs) -> CoverDescriptor:
@@ -211,17 +212,16 @@ def cyclic_index_cover(ring: ToricRing, facet_coeffs) -> CoverDescriptor:
     pairing vector equal to the class; the cover is etale in codimension
     one and its degree is the order of the class.
     """
-    coeffs = [int(c) for c in facet_coeffs]
-    k = class_order(ring, coeffs)
-    inv = fraction_matrix_inverse(ring.normals)
-    u = [sum(inv[i][j] * coeffs[j] for j in range(ring.d)) for i in range(ring.d)]
+    return _index_cover(ring, facet_coeffs, *_class_vector(ring, facet_coeffs))
+
+
+def _index_cover(ring: ToricRing, facet_coeffs, u: list[Fraction], k: int) -> CoverDescriptor:
+    """``cyclic_index_cover`` from the class vector u and the class order k."""
     d = ring.d
     gens = [[k * int(i == j) for j in range(d)] for i in range(d)]
     gens.append([int(k * x) for x in u])
     b_rows = row_lattice_basis(gens)
     _require(len(b_rows) == d, "the upper lattice of the class cover is not full rank")
-    _require(abs(integer_det(b_rows)) == k ** (d - 1),
-             "the upper lattice of the class cover has the wrong index")
     raw_normals = [
         tuple(sum(v[i] * b_rows[j][i] for i in range(d)) for j in range(d))
         for v in ring.normals
@@ -231,17 +231,13 @@ def cyclic_index_cover(ring: ToricRing, facet_coeffs) -> CoverDescriptor:
         ring.p,
         normals,
         embedding=b_rows,
-        label=f"cyclic cover of {ring.label} along class {tuple(coeffs)}",
+        label=f"cyclic cover of {ring.label} along class {tuple(int(c) for c in facet_coeffs)}",
     )
-    b_inv = fraction_matrix_inverse(b_rows)
-    t_matrix = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            x = k * b_inv[i][j]
-            _require(x.denominator == 1, "the class cover transition is not integral")
-            row.append(int(x))
-        t_matrix.append(row)
+    _require(abs(upper._embedding_adjugate[1]) == k ** (d - 1),
+             "the upper lattice of the class cover has the wrong index")
+    # row i of T = k * B^-1 solves T_i @ B = k e_i
+    t_matrix = [upper.intrinsic_from_ambient([k * int(i == j) for j in range(d)]) for i in range(d)]
+    _require(all(row is not None for row in t_matrix), "the class cover transition is not integral")
     cover = _build_cover(ring, upper, t_matrix, kind="cyclic-index")
     _require(cover.degree == k, f"the class cover has degree {cover.degree}, not the class order {k}")
     return cover
@@ -254,14 +250,14 @@ def index_bound(ring: ToricRing, facet_coeffs, p: int | None = None) -> IndexRep
     etale in codimension one.
     """
     p = ring.p if p is None else p
-    k = class_order(ring, facet_coeffs)
+    u, k = _class_vector(ring, facet_coeffs)
     if k % p == 0:
         raise ValueError(f"p = {p} divides the class order {k}")
     s = toric_fsig_exact(ring)
     if s == 0:
         raise ValueError("F-signature is zero: not strongly F-regular")
     bound = math.floor(1 / s)
-    cover = cyclic_index_cover(ring, facet_coeffs)
+    cover = _index_cover(ring, facet_coeffs, u, k)
     _require(cover.etale_in_codim1, "the class cover is not etale in codimension one")
     return IndexReport(order=k, bound=bound, s=s, ok=(k <= bound), cover=cover)
 

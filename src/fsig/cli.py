@@ -404,8 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: building it costs about as much as a small request.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         doc = _load_document(args)
         started = time.monotonic()

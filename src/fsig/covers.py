@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,9 +21,8 @@ from .toric import (
     TorusQDivisor,
     VerificationFailure,  # raised by _require; fsig.covers keeps exporting it
     _require,
+    _solve_row,
     adjugate,
-    fraction_matrix_inverse,
-    integer_det,
     primitive_vector,
     quotient_singularity,
     toric_fsig_exact,
@@ -68,17 +68,16 @@ class TraceMap:
     def is_surjective(self) -> bool:
         return self.unit_coefficient != 0
 
+    @cached_property
+    def _transition_adjugate(self) -> tuple[list[list[int]], int]:
+        return adjugate(self.transition)
+
     def on_upper_monomial(self, c_upper: Sequence[int]) -> tuple[int, Vector | None]:
         """Coefficient mod p and lower intrinsic coordinates, or (0, None)."""
-        d = len(self.transition)
-        adj, det = adjugate([[self.transition[j][i] for j in range(d)] for i in range(d)])
-        c_lower = []
-        for i in range(d):
-            num = sum(adj[i][j] * int(c_upper[j]) for j in range(d))
-            if num % det:
-                return 0, None
-            c_lower.append(num // det)
-        return self.unit_coefficient, tuple(c_lower)
+        c_lower = _solve_row(self._transition_adjugate, c_upper)
+        if c_lower is None:
+            return 0, None
+        return self.unit_coefficient, c_lower
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def _transition_data(lower: ToricRing, upper: ToricRing, t_matrix: Sequence[Sequ
     """Degree, per-facet ramification indices and facet matching from T."""
     d = lower.d
     t_rows = tuple(tuple(int(x) for x in row) for row in t_matrix)
-    det_t = integer_det(t_rows)
+    det_t = adjugate(t_rows)[1]
     if det_t == 0:
         raise CoverConstructionError("transition matrix is singular")
     degree = abs(det_t)
@@ -197,16 +196,10 @@ def quotient_cover(n: int, weights: Sequence[int], p: int, m: int) -> CoverDescr
         raise CoverConstructionError(f"p = {p} divides n = {n}")
     lower = quotient_singularity(n, weights, p)
     upper = quotient_singularity(m, tuple(a % m if m > 1 else 0 for a in weights), p)
-    b_upper_inv = fraction_matrix_inverse(upper.embedding)
-    t_matrix = []
-    for row in lower.embedding:
-        out = []
-        for j in range(lower.d):
-            x = sum(Fraction(row[i]) * b_upper_inv[i][j] for i in range(lower.d))
-            if x.denominator != 1:
-                raise CoverConstructionError("lattice of the lower ring is not contained in the upper one")
-            out.append(int(x))
-        t_matrix.append(out)
+    # row i of T solves T_i @ B_upper = B_lower[i]
+    t_matrix = [upper.intrinsic_from_ambient(row) for row in lower.embedding]
+    if any(row is None for row in t_matrix):
+        raise CoverConstructionError("lattice of the lower ring is not contained in the upper one")
     cover = _build_cover(lower, upper, t_matrix, kind="quotient")
     _require(cover.degree == n // m, f"the quotient cover has degree {cover.degree}, not {n // m}")
     return cover
@@ -469,7 +462,7 @@ def chain_simulation(ring: ToricRing) -> ChainReport:
     orders = [n]
     while orders[-1] > 1:
         m = orders[-1]
-        spf = next(f for f in range(2, m + 1) if m % f == 0)
+        spf = next((f for f in range(2, math.isqrt(m) + 1) if m % f == 0), m)
         orders.append(m // spf)
     steps = []
     s_values = [toric_fsig_exact(quotient_singularity(n, weights, p))]

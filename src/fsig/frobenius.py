@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ideals import Ideal, frobenius_power, ideal_sum, quotient_length
+from .ideals import Ideal, frobenius_power, ideal_sum, normal_form, quotient_length
 from .linalg import find_positive_weights, multiplication_rank
 from .poly import Polynomial
 from .toric import ToricRing, TorusQDivisor, toric_fsig_exact, toric_splitting_number
@@ -186,7 +186,7 @@ def splitting_number(
 ) -> int:
     """a_e = lambda(P/(m^[q] : g)), the free rank of the e-th Frobenius pushforward.
 
-    ``method="colon"`` computes q^n - lambda(P/(m^[q], g)) from a GREVLEX
+    ``method="colon"`` computes q^n - lambda(P/(m^[q], g)) from a grevlex
     basis instead of the rank of g on P/m^[q].  The rank route stops with
     ``TimeoutError`` past ``deadline`` (see ``multiplication_rank``); the
     colon route does not check it.
@@ -413,10 +413,9 @@ def ctrick_gap_sequence(
 
 
 def _check_nonzero_in_ring(ring: RingPresentation, c: Polynomial) -> None:
-    if ring.kind == "hypersurface":
-        ideal = Ideal(ring.p, ring.nvars, [ring.f])
-        if ideal.contains(c):
-            raise ValueError("c is zero in the quotient ring")
+    # {f} is a Groebner basis of (f), so trial division by f decides membership
+    if ring.kind == "hypersurface" and normal_form(c, (ring.f,)).is_zero():
+        raise ValueError("c is zero in the quotient ring")
 
 
 @dataclass(frozen=True)

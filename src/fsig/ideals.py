@@ -2,8 +2,9 @@
 
 The basis computation is plain Buchberger with the coprimality and chain
 criteria, followed by minimalization and interreduction, so each ideal
-and order has a unique reduced basis.  Scale targets are desk-sized
-instances; the Frobenius machinery avoids materializing large bases.
+has a unique reduced basis in the grevlex order, the only order used.
+Scale targets are desk-sized instances; the Frobenius machinery avoids
+materializing large bases.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from typing import Iterable, Sequence
 
 from .field import inverse_mod
 from .poly import (
-    GREVLEX,
     Monomial,
-    MonomialOrder,
     Polynomial,
+    _grevlex_key,
     monomial_coprime,
     monomial_div,
     monomial_divides,
@@ -24,26 +24,26 @@ from .poly import (
 )
 
 
-def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
+def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial of f and g."""
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
+    mf, cf = f.leading_term()
+    mg, cg = g.leading_term()
     lcm = monomial_lcm(mf, mg)
     a = f.multiply_monomial(monomial_div(lcm, mf), inverse_mod(cf, f.p))
     b = g.multiply_monomial(monomial_div(lcm, mg), inverse_mod(cg, g.p))
     return a - b
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Polynomial:
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of f by the basis; deterministic."""
     if not basis:
         return f
     p = f.p
-    leads = [(g.leading_monomial(order), g.leading_coefficient(order), g) for g in basis]
+    leads = [(*g.leading_term(), g) for g in basis]
     remainder = Polynomial.zero(p, f.nvars)
     work = f
     while not work.is_zero():
-        m, c = work.leading_term(order)
+        m, c = work.leading_term()
         for lm, lc, g in leads:
             if monomial_divides(lm, m):
                 factor = (c * inverse_mod(lc, p)) % p
@@ -56,14 +56,8 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     return remainder
 
 
-def _update_pairs(
-    pairs: set[tuple[int, int]],
-    basis: list[Polynomial],
-    new_index: int,
-    order: MonomialOrder,
-) -> None:
+def _update_pairs(pairs: set[tuple[int, int]], leads: list[Monomial], new_index: int) -> None:
     """Queue S-pairs for a new basis element, applying Buchberger's criteria."""
-    leads = [g.leading_monomial(order) for g in basis]
     t = leads[new_index]
     fresh = []
     for i in range(new_index):
@@ -85,7 +79,7 @@ def _update_pairs(
             pairs.add((i, j))
 
 
-def buchberger(generators: Iterable[Polynomial], order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
+def buchberger(generators: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of the span of ``generators``."""
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -95,25 +89,28 @@ def buchberger(generators: Iterable[Polynomial], order: MonomialOrder = GREVLEX)
         if g.p != p or g.nvars != nvars:
             raise ValueError("generators live in different rings")
     basis: list[Polynomial] = []
+    leads: list[Monomial] = []
     pairs: set[tuple[int, int]] = set()
     for g in gens:
         basis.append(g)
-        _update_pairs(pairs, basis, len(basis) - 1, order)
+        leads.append(g.leading_monomial())
+        _update_pairs(pairs, leads, len(basis) - 1)
     while pairs:
-        i, j = min(pairs, key=lambda ij: order.key(monomial_lcm(basis[ij[0]].leading_monomial(order), basis[ij[1]].leading_monomial(order))))
+        i, j = min(pairs, key=lambda ij: _grevlex_key(monomial_lcm(leads[ij[0]], leads[ij[1]])))
         pairs.discard((i, j))
-        s = normal_form(spoly(basis[i], basis[j], order), basis, order)
+        s = normal_form(spoly(basis[i], basis[j]), basis)
         if s.is_zero():
             continue
         basis.append(s)
-        _update_pairs(pairs, basis, len(basis) - 1, order)
-    return _reduce_basis(basis, order)
+        leads.append(s.leading_monomial())
+        _update_pairs(pairs, leads, len(basis) - 1)
+    return _reduce_basis(basis)
 
 
-def _reduce_basis(basis: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
+def _reduce_basis(basis: list[Polynomial]) -> tuple[Polynomial, ...]:
     """Minimalize and interreduce, returning monic generators sorted by lead."""
-    basis = [g.monic(order) for g in basis if not g.is_zero()]
-    leads = [g.leading_monomial(order) for g in basis]
+    basis = [g.monic() for g in basis if not g.is_zero()]
+    leads = [g.leading_monomial() for g in basis]
     keep = []
     for i, lm in enumerate(leads):
         if any(j != i and monomial_divides(leads[j], lm) and (not monomial_divides(lm, leads[j]) or j < i) for j in range(len(basis))):
@@ -123,14 +120,14 @@ def _reduce_basis(basis: list[Polynomial], order: MonomialOrder) -> tuple[Polyno
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(g, others, order).monic(order))
+        reduced.append(normal_form(g, others).monic())
     reduced = [g for g in reduced if not g.is_zero()]
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+    reduced.sort(key=lambda g: _grevlex_key(g.leading_monomial()), reverse=True)
     return tuple(reduced)
 
 
 class Ideal:
-    """An ideal presented by generators, with per-order cached reduced bases."""
+    """An ideal presented by generators, with its cached reduced grevlex basis."""
 
     def __init__(self, p: int, nvars: int, generators: Iterable[Polynomial] = ()):
         self.p = p
@@ -142,7 +139,7 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
-        self._bases: dict[str, tuple[Polynomial, ...]] = {}
+        self._basis: tuple[Polynomial, ...] | None = None
 
     @classmethod
     def monomial_ideal(cls, p: int, nvars: int, exponents: Iterable[Monomial]) -> Ideal:
@@ -158,15 +155,13 @@ class Ideal:
             gens.append(tuple(m))
         return cls.monomial_ideal(p, nvars, gens)
 
-    def groebner(self, order: MonomialOrder = GREVLEX) -> tuple[Polynomial, ...]:
-        cached = self._bases.get(order.name)
-        if cached is None:
-            cached = buchberger(self.generators, order)
-            self._bases[order.name] = cached
-        return cached
+    def groebner(self) -> tuple[Polynomial, ...]:
+        if self._basis is None:
+            self._basis = buchberger(self.generators)
+        return self._basis
 
     def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self.groebner(GREVLEX), GREVLEX).is_zero()
+        return normal_form(f, self.groebner()).is_zero()
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -198,13 +193,13 @@ def quotient_length(ideal: Ideal) -> int | float:
     """
     if ideal.nvars == 0:
         return 0 if any(not g.is_zero() for g in ideal.generators) else 1
-    basis = ideal.groebner(GREVLEX)
+    basis = ideal.groebner()
     if any(not g.terms for g in basis):
         return 0
     for g in basis:
         if g.total_degree() == 0:
             return 0
-    leads = [g.leading_monomial(GREVLEX) for g in basis]
+    leads = [g.leading_monomial() for g in basis]
     nvars = ideal.nvars
     caps = [None] * nvars
     for m in leads:

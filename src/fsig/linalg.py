@@ -31,6 +31,7 @@ import numpy as np
 
 from .field import is_prime
 from .poly import Polynomial
+from .toric import _rref, primitive_vector
 
 _F32_LIMIT = 2**24
 _F64_LIMIT = 2**53
@@ -194,41 +195,26 @@ def rank_mod_p_reference(rows: Sequence[Sequence[int]], p: int) -> int:
 
 
 def rational_nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational kernel of the matrix given by ``rows``."""
-    work = [list(map(Fraction, row)) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
+    """Basis of the rational kernel of the matrix given by ``rows``.
+
+    One vector per free column of the reduced row echelon form, which is
+    unique, so the basis is too.  Each row is first scaled to integers,
+    which keeps the kernel.
+    """
+    integer_rows = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        denom = math.lcm(*(x.denominator for x in row))
+        integer_rows.append([x * denom for x in row])
+    reduced, pivots, det = _rref(integer_rows)
     basis = []
-    free = [c for c in range(width) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(width) if c not in pivots):
         vec = [Fraction(0)] * width
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -work[i][fc]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = Fraction(-row[fc], det)
         basis.append(tuple(vec))
     return basis
-
-
-def _primitive_integer(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    denom = math.lcm(*(f.denominator for f in vec))
-    ints = [int(f * denom) for f in vec]
-    g = math.gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    return tuple(ints)
 
 
 def find_positive_weights(*polys: Polynomial) -> tuple[int, ...] | None:
@@ -270,7 +256,8 @@ def find_positive_weights(*polys: Polynomial) -> tuple[int, ...] | None:
     for c in combos:
         w = [sum(ci * b[i] for ci, b in zip(c, basis)) for i in range(d)]
         if all(wi > 0 for wi in w):
-            return _primitive_integer(w)
+            denom = math.lcm(*(x.denominator for x in w))
+            return primitive_vector([x * denom for x in w])
     return None
 
 
@@ -289,31 +276,30 @@ def _box_exponents(caps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_matrix(
-    g: Polynomial,
+    terms: np.ndarray,
+    coeffs: np.ndarray,
     caps_arr: np.ndarray,
     exps: np.ndarray,
     strides: np.ndarray,
     pos: np.ndarray,
     src: np.ndarray,
     n_tgt: int,
-    dtype,
 ) -> np.ndarray:
     """Matrix of multiplication by g from the monomials ``src`` to a block.
 
-    Column j holds g * x^exps[src[j]] on the block's ``n_tgt`` monomials,
-    row ``pos[flat]`` for the monomial of flat index ``flat``; products
-    past ``caps_arr`` vanish.  Terms that fit above no source of the block
-    are dropped first.  The rest are taken in chunks of at most
-    ``_CHUNK_PAIRS`` (term, source) pairs: one validity mask per chunk,
-    built one coordinate at a time, then one scatter.  Distinct terms send
-    a source to distinct targets, so no two pairs write the same cell.
+    g is given by its exponent rows ``terms`` and its ``coeffs``, whose
+    dtype the matrix takes.  Column j holds g * x^exps[src[j]] on the
+    block's ``n_tgt`` monomials, row ``pos[flat]`` for the monomial of
+    flat index ``flat``; products past ``caps_arr`` vanish.  Terms that
+    fit above no source of the block are dropped first.  The rest are
+    taken in chunks of at most ``_CHUNK_PAIRS`` (term, source) pairs: one
+    validity mask per chunk, built one coordinate at a time, then one
+    scatter.  Distinct terms send a source to distinct targets, so no two
+    pairs write the same cell.
     """
-    mat = np.zeros((n_tgt, len(src)), dtype=dtype)
+    mat = np.zeros((n_tgt, len(src)), dtype=coeffs.dtype)
     src_exps = exps[src]
     nvars = len(caps_arr)
-    terms = np.fromiter(chain.from_iterable(g.terms), dtype=np.int64, count=len(g.terms) * nvars)
-    terms = terms.reshape(-1, nvars)
-    coeffs = np.fromiter(g.terms.values(), dtype=dtype, count=len(terms))
     room = caps_arr - terms
     fits = np.all(room > src_exps.min(axis=0), axis=1)
     room, coeffs = room[fits], coeffs[fits]
@@ -378,6 +364,9 @@ def multiplication_rank(
     deg_g = g.weighted_degree(weights)
     exps, strides = _box_exponents(caps)
     caps_arr = np.asarray(caps, dtype=np.int64)
+    terms = np.fromiter(chain.from_iterable(g.terms), dtype=np.int64, count=len(g.terms) * g.nvars)
+    terms = terms.reshape(-1, g.nvars)
+    coeffs = np.fromiter(g.terms.values(), dtype=dtype, count=len(terms))
     degrees = exps @ np.asarray(weights, dtype=np.int64)
     order = np.argsort(degrees, kind="stable")
     sorted_degs = degrees[order]
@@ -401,7 +390,7 @@ def multiplication_rank(
         if tgt is None or len(tgt) == 0:
             block_rank = 0
         else:
-            mat = _block_matrix(g, caps_arr, exps, strides, pos, src, len(tgt), dtype)
+            mat = _block_matrix(terms, coeffs, caps_arr, exps, strides, pos, src, len(tgt))
             block_rank = _rank_inplace(mat, p, block)
         if 2 * j < center:
             rank += 2 * block_rank

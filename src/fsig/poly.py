@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over GF(p) with monomial orders and parsing.
+"""Sparse multivariate polynomials over GF(p) in the grevlex order, with parsing.
 
 Monomials are plain exponent tuples.  A polynomial is a hash map from
 exponent tuple to a nonzero residue in [1, p), so term lookup during
@@ -34,38 +34,9 @@ def monomial_coprime(a: Monomial, b: Monomial) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-class MonomialOrder:
-    """A monomial order given by a sort key; larger key means larger monomial."""
-
-    name: str = "abstract"
-
-    def key(self, m: Monomial):
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<order {self.name}>"
-
-
-class GrevLex(MonomialOrder):
-    """Graded reverse lexicographic order."""
-
-    name = "grevlex"
-
-    def key(self, m: Monomial):
-        return (sum(m), tuple(-e for e in reversed(m)))
-
-
-class Lex(MonomialOrder):
-    """Pure lexicographic order, first variable dominant."""
-
-    name = "lex"
-
-    def key(self, m: Monomial):
-        return m
-
-
-GREVLEX = GrevLex()
-LEX = Lex()
+def _grevlex_key(m: Monomial):
+    """Sort key of the graded reverse lexicographic order, the only order used."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 class Polynomial:
@@ -142,16 +113,16 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=_grevlex_key)
 
-    def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> int:
-        return self.terms[self.leading_monomial(order)]
+    def leading_coefficient(self) -> int:
+        return self.terms[self.leading_monomial()]
 
-    def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, int]:
-        m = self.leading_monomial(order)
+    def leading_term(self) -> tuple[Monomial, int]:
+        m = self.leading_monomial()
         return m, self.terms[m]
 
     def is_homogeneous(self, weights: Iterable[int] | None = None) -> bool:
@@ -229,10 +200,10 @@ class Polynomial:
         p = self.p
         return self._raw({m: (c * v) % p for m, v in self.terms.items()})
 
-    def monic(self, order: MonomialOrder = GREVLEX) -> Polynomial:
+    def monic(self) -> Polynomial:
         if not self.terms:
             return self
-        return self.scale(inverse_mod(self.leading_coefficient(order), self.p))
+        return self.scale(inverse_mod(self.leading_coefficient(), self.p))
 
     def multiply_monomial(self, m: Monomial, c: int = 1) -> Polynomial:
         c %= self.p
@@ -307,8 +278,8 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.p, self.nvars, frozenset(self.terms.items())))
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[Monomial, int]]:
+        return sorted(self.terms.items(), key=lambda mc: _grevlex_key(mc[0]), reverse=True)
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -329,7 +300,7 @@ def format_polynomial(f: Polynomial, names: Iterable[str] | None = None) -> str:
     if len(names) != f.nvars:
         raise ValueError("wrong number of variable names")
     chunks = []
-    for m, c in f.sorted_terms(GREVLEX):
+    for m, c in f.sorted_terms():
         factors = []
         for name, e in zip(names, m):
             if e == 1:

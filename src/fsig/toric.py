@@ -13,7 +13,9 @@ the limiting window polytope.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -41,59 +43,69 @@ def primitive_vector(v: Sequence[int]) -> Vector:
     return tuple(int(x) // g for x in v)
 
 
-def fraction_matrix_inverse(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    d = len(rows)
-    work = [[Fraction(rows[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for c in range(d):
-        piv = next((i for i in range(c, d) if work[i][c] != 0), None)
+def _rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination: the one exact elimination.
+
+    Returns (R, pivots, det) for an integer matrix: R / det is the reduced
+    row echelon form of ``rows``, with its leading ones in the columns
+    ``pivots``, and det is the determinant of ``rows`` when they are
+    square and nonsingular.  Each step divides by the previous pivot;
+    every entry stays, up to sign, a minor of ``rows`` (Bareiss), so the
+    divisions are exact and no fraction is ever formed.
+    """
+    work = [[int(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
         if piv is None:
-            raise ValueError("matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for i in range(d):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return [row[d:] for row in work]
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
+        top = work[r]
+        a = top[c]
+        for i, row in enumerate(work):
+            if i != r:
+                b = row[c]
+                work[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
+        prev = a
+        pivots.append(c)
+    return [[sign * x for x in row] for row in work], pivots, sign * prev
 
 
-def integer_det(rows: Sequence[Sequence[int]]) -> int:
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]] | None, int]:
+    """Integer adjugate and determinant, with adj(A) @ A = det * I.
+
+    Both come from one elimination of [A | I], whose right half becomes
+    adj(A) when its left half becomes det * I.  A singular matrix gives
+    (None, 0); each caller raises its own error.
+    """
     d = len(rows)
-    work = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(d):
-        piv = next((i for i in range(c, d) if work[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            det = -det
-        det *= work[c][c]
-        inv = 1 / work[c][c]
-        for i in range(c + 1, d):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    _require(det.denominator == 1, "the determinant of an integer matrix is not an integer")
-    return int(det)
-
-
-def adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Integer adjugate and determinant, with adj(A) @ A = det * I."""
-    det = integer_det(rows)
-    if det == 0:
-        raise ValueError("matrix is singular")
-    inv = fraction_matrix_inverse(rows)
-    adj = []
-    for row in inv:
-        out = []
-        for x in row:
-            y = x * det
-            _require(y.denominator == 1, "the adjugate of an integer matrix is not integral")
-            out.append(int(y))
-        adj.append(out)
+    reduced, pivots, det = _rref([list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)])
+    if pivots != list(range(d)):
+        return None, 0
+    adj = [row[d:] for row in reduced]
+    cols = list(zip(*rows))
+    _require([[sum(map(operator.mul, r, c)) for c in cols] for r in adj]
+             == [[det * (i == j) for j in range(d)] for i in range(d)],
+             "the adjugate fails adj(A) @ A = det * I")
     return adj, det
+
+
+def _solve_row(adj_det: tuple[list[list[int]], int], v: Sequence[int]) -> Vector | None:
+    """The x with x @ A = v, from (adj A, det A); None when x is not integral."""
+    adj, det = adj_det
+    x = []
+    for col in zip(*adj):
+        num = sum(a * int(b) for a, b in zip(col, v))
+        if num % det:
+            return None
+        x.append(num // det)
+    return tuple(x)
 
 
 def row_reduction_transform(row: Sequence[int]) -> tuple[int, list[Vector]]:
@@ -274,7 +286,7 @@ class RationalCone:
             raise SimplicialityError(
                 f"{len(self.rays)} rays in rank {d}; only simplicial cones are supported"
             )
-        if integer_det(self.rays) == 0:
+        if adjugate(self.rays)[1] == 0:
             raise ValueError("rays are linearly dependent; cone is not full-dimensional")
         for r in self.rays:
             if primitive_vector(r) != tuple(r):
@@ -308,8 +320,8 @@ class ToricRing:
         self.d = len(self.normals)
         if any(len(row) != self.d for row in self.normals):
             raise SimplicialityError("facet normal matrix must be square (simplicial cone)")
-        det = integer_det(self.normals)
-        if det == 0:
+        self._adj, self._det = adjugate(self.normals)
+        if self._det == 0:
             raise ValueError("facet normals are linearly dependent")
         for row in self.normals:
             if primitive_vector(row) != row:
@@ -321,7 +333,6 @@ class ToricRing:
         self.group_weights = group_weights
         self.small = small
         self.label = label or f"toric ring on {self.normals}"
-        self._adj, self._det = adjugate(self.normals)
         self._hilbert: tuple[tuple[Vector, ...], int] | None = None
 
     @classmethod
@@ -352,29 +363,24 @@ class ToricRing:
     def pairing(self, c: Sequence[int]) -> Vector:
         return tuple(sum(v[i] * int(c[i]) for i in range(self.d)) for v in self.normals)
 
+    @cached_property
+    def _embedding_adjugate(self) -> tuple[list[list[int]], int]:
+        adj, det = adjugate(self.embedding)
+        if det == 0:
+            raise ValueError("embedding matrix is singular")
+        return adj, det
+
     def intrinsic_from_ambient(self, u: Sequence[int]) -> Vector | None:
         """Solve c @ embedding = u over the integers, or None."""
-        emb_t = [[self.embedding[i][j] for i in range(self.d)] for j in range(len(u))]
-        # embedding may be rectangular only in theory; here it is square
-        adj, det = adjugate(emb_t)
-        c = []
-        for i in range(self.d):
-            num = sum(adj[i][j] * int(u[j]) for j in range(self.d))
-            if num % det:
-                return None
-            c.append(num // det)
-        return tuple(c)
+        return _solve_row(self._embedding_adjugate, u)
 
     def extreme_rays(self) -> list[Vector]:
-        """Primitive generators of the semigroup cone, intrinsic coordinates."""
-        inv = fraction_matrix_inverse(self.normals)
-        rays = []
-        for j in range(self.d):
-            col = [inv[i][j] for i in range(self.d)]
-            denom = math.lcm(*(x.denominator for x in col))
-            vec = [int(x * denom) for x in col]
-            rays.append(primitive_vector(vec))
-        return rays
+        """Primitive generators of the semigroup cone, intrinsic coordinates.
+
+        They are the columns of normals^-1 = adj / det, made primitive.
+        """
+        sign = 1 if self._det > 0 else -1
+        return [primitive_vector([sign * x for x in col]) for col in zip(*self._adj)]
 
     def descent_vector(self, facet: int) -> Vector:
         """m with <v_facet, m> = -1 and <v_G, m> >= 0 for the other facets."""
@@ -432,8 +438,12 @@ class ToricRing:
 
     def _enumerate_by_degree(self, bound: int) -> list[Vector]:
         """All semigroup elements with total facet degree <= bound."""
-        cs = self._lattice_points([bound] * self.d, 5_000_000, "degree bound too large to enumerate")
-        degree = np.asarray(self.normals, dtype=np.int64).sum(axis=0) @ cs
+        error = "degree bound too large to enumerate"
+        cs = self._lattice_points([bound] * self.d, 5_000_000, error)
+        sums = [sum(col) for col in zip(*self.normals)]
+        if sum(abs(x) for x in sums) * max(1, int(np.abs(cs).max(initial=0))) >= 2**63:
+            raise ValueError(error)
+        degree = np.asarray(sums, dtype=np.int64) @ cs
         return [tuple(c) for c in cs[:, degree <= bound].T.tolist()]
 
     def _lattice_points(self, caps: Sequence[int], limit: int, error: str) -> np.ndarray:
@@ -441,10 +451,12 @@ class ToricRing:
 
         Enumerates the pairing values y in the box and keeps those with
         adj @ y divisible by det, which are exactly y = normals @ c.
-        Raises ValueError(error) when the box holds more than limit points.
+        Raises ValueError(error) when the box holds more than limit points,
+        or when adj @ y or det could leave int64, where numpy would wrap.
         """
         widths = [int(c) + 1 for c in caps]
-        if math.prod(widths) > limit:
+        reach = max(sum(abs(a) * int(c) for a, c in zip(row, caps)) for row in self._adj)
+        if math.prod(widths) > limit or max(reach, abs(self._det)) >= 2**63:
             raise ValueError(error)
         grid = np.indices(widths).reshape(self.d, -1)
         adj = np.asarray(self._adj, dtype=np.int64)
@@ -453,6 +465,17 @@ class ToricRing:
 
     def __repr__(self) -> str:
         return f"ToricRing(p={self.p}, {self.label})"
+
+
+def _is_small(n: int, weights: Sequence[int]) -> bool:
+    """No g^j with 0 < j < n fixes a hyperplane, in O(d^2) operations.
+
+    g^j fixes the hyperplane x_i = 0 iff j * a_k = 0 mod n for every
+    k != i, that is iff every order n / gcd(n, a_k), k != i, divides j.
+    Some 0 < j < n does iff the lcm of those orders is below n.
+    """
+    orders = [n // math.gcd(n, a) for a in weights]
+    return all(math.lcm(*orders[:i], *orders[i + 1 :]) == n for i in range(len(orders)))
 
 
 def quotient_singularity(n: int, weights: Sequence[int], p: int) -> ToricRing:
@@ -481,15 +504,7 @@ def quotient_singularity(n: int, weights: Sequence[int], p: int) -> ToricRing:
         ring.small = True
         ring.label = "regular (trivial quotient)"
         return ring
-    small = True
-    for j in range(1, n):
-        fixed = sum(1 for a in weights if (j * a) % n == 0)
-        if fixed > d - 2:
-            small = False
-            break
     basis = congruence_lattice_basis(weights, n)
-    det_b = integer_det(basis)
-    _require(abs(det_b) == n, f"the congruence lattice has index {abs(det_b)}, not {n}")
     normals = []
     for i in range(d):
         col = [basis[r][i] for r in range(d)]
@@ -500,9 +515,11 @@ def quotient_singularity(n: int, weights: Sequence[int], p: int) -> ToricRing:
         embedding=basis,
         group_order=n,
         group_weights=weights,
-        small=small,
+        small=_is_small(n, weights),
         label=f"1/{n}{weights}",
     )
+    det_b = ring._embedding_adjugate[1]
+    _require(abs(det_b) == n, f"the congruence lattice has index {abs(det_b)}, not {n}")
     return ring
 
 

@@ -148,6 +148,29 @@ def brute_block_matrix(
     return mat
 
 
+def brute_det(rows) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * brute_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, a in enumerate(rows[0])
+    )
+
+
+def brute_adjugate(rows) -> list[list[int]]:
+    """adj(A)[i][j] = (-1)^(i+j) times the minor of A without row j and column i."""
+    rows = [list(r) for r in rows]
+    d = len(rows)
+    return [
+        [
+            (-1) ** (i + j) * brute_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+
+
 def brute_window_count(normals, q: int, caps: tuple[int, ...] | None = None) -> int:
     """#{c in Z^d : 0 <= <v_F, c> <= cap_F for all F} by grid search.
 
@@ -155,15 +178,11 @@ def brute_window_count(normals, q: int, caps: tuple[int, ...] | None = None) -> 
     from the constraint polytope; correct whenever the polytope is
     bounded, which the callers guarantee by passing simplicial data.
     """
-    from fsig.toric import fraction_matrix_inverse
-
     d = len(normals[0])
     caps = caps if caps is not None else (q - 1,) * len(normals)
-    inv = fraction_matrix_inverse([list(v) for v in normals])
-    # c = A^{-1} y with 0 <= y_F <= cap_F bounds each |c_i| explicitly.
-    box = max(
-        int(sum(abs(inv[i][j]) * caps[j] for j in range(d))) + 1 for i in range(d)
-    )
+    adj, det = brute_adjugate(normals), abs(brute_det([list(v) for v in normals]))
+    # c = adj y / det with 0 <= y_F <= cap_F bounds each |c_i| explicitly.
+    box = max(sum(abs(adj[i][j]) * caps[j] for j in range(d)) // det + 1 for i in range(d))
     count = 0
     for c in itertools.product(range(-box, box + 1), repeat=d):
         ok = True
@@ -175,6 +194,12 @@ def brute_window_count(normals, q: int, caps: tuple[int, ...] | None = None) -> 
         if ok:
             count += 1
     return count
+
+
+def brute_is_small(n: int, weights: tuple[int, ...]) -> bool:
+    """No g^j, 0 < j < n, fixes a hyperplane: at most d-2 of the j*a_i vanish mod n."""
+    d = len(weights)
+    return all(sum(1 for a in weights if (j * a) % n == 0) <= d - 2 for j in range(1, n))
 
 
 def normalized_window_fraction(normals, q: int) -> Fraction:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -291,6 +292,37 @@ def test_compute_window_sequence_honours_budget(tmp_path):
                        "--budget", "0.01", "--e-max", "5")
     assert code == 3
     assert report is None
+
+
+def _rays_ring(ray):
+    return {"ring": {"type": "toric", "rays": [[1, 0], [1, ray]], "p": 3}}
+
+
+def test_window_counts_just_inside_int64(tmp_path):
+    code, report = run(tmp_path, "compute", _rays_ring(10**17), "--backend", "sequence",
+                       "--e-max", "3")
+    assert code == 0
+    assert [r["a_e"] for r in report["records"]] == [3, 9, 27]
+
+
+@pytest.mark.parametrize("ray", [10**18, 4 * 10**18, 10**20])
+@pytest.mark.parametrize("command", ["compute", "bounds", "purity"])
+def test_window_past_int64_is_an_input_error(tmp_path, capsys, command, ray):
+    # adj @ y leaves int64 at e = 3; numpy would wrap it and miscount.
+    code, report = run(tmp_path, command, _rays_ring(ray), "--backend", "sequence",
+                       "--e-max", "3")
+    assert code == 2
+    assert report is None
+    assert "window too large to enumerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compute", "bounds", "purity"])
+def test_huge_cyclic_quotient_takes_no_loop_over_the_group(tmp_path, command):
+    doc = {"ring": {"type": "quotient", "n": 10**9 + 7, "weights": [1, 1], "p": 3}}
+    start = time.monotonic()
+    code, report = run(tmp_path, command, doc)
+    assert time.monotonic() - start < 1.0
+    assert code == 0
 
 
 @pytest.mark.parametrize("command", ["bounds", "purity"])

@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -122,6 +123,57 @@ def test_rational_nullspace_simple():
         assert sum(vec) == 0
 
 
+def test_rational_nullspace_kills_a_kernel_of_full_size():
+    # Entries of magnitude at most 18 in at most 6 columns keep every
+    # minor below the Hadamard bound 18^6 * 6^3 < 2^61 - 1, so the rank
+    # mod that prime is the rank over Q.
+    rng = random.Random(5)
+    for _ in range(200):
+        width = rng.randint(1, 6)
+        rank = rng.randint(0, width)
+        basis = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rank)]
+        rows = [
+            [sum(rng.randint(-1, 1) * b[j] for b in basis) for j in range(width)]
+            for _ in range(rng.randint(0, 6))
+        ]
+        kernel = rational_nullspace([[Fraction(x) for x in row] for row in rows], width)
+        for vec in kernel:
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
+        assert len(kernel) == width - rank_mod_p_reference(rows, 2**61 - 1)
+
+
+# Weights of every polynomial (and twist factor set) the benchmark sends,
+# plus kernels of dimension two, as found by the parent of the shared
+# elimination routine: the kernel basis is canonical, so they must not move.
+PINNED_WEIGHTS = [
+    (3, ["x0^2 + x1^2 + x2^2 + x3^2"], (1, 1, 1, 1)),
+    (3, ["x*y - z^3"], (2, 1, 1)),
+    (3, ["x*y - z^4"], (3, 1, 1)),
+    (7, ["x*y - z^2"], (1, 1, 1)),
+    (7, ["x*y + y*z + z*x"], (1, 1, 1)),
+    (11, ["x^2 + y^3 + z^5"], (15, 10, 6)),
+    (3, ["x*y - z^2", "x + z"], (1, 1, 1)),
+    (3, ["x*y - z^2", "y + z"], (1, 1, 1)),
+    (5, ["x*y - z^2", "x + y + z"], (1, 1, 1)),
+    (3, ["x^2 + y^3 + z^5"], (15, 10, 6)),
+    (3, ["x*y - z^2", "x + y", "y - z", "z"], (1, 1, 1)),
+    (5, ["x*y - z^3"], (2, 1, 1)),
+    (3, ["x*y - z^2", "z"], (1, 1, 1)),
+    (3, ["x*y - z^2", "x + y"], (1, 1, 1)),
+    (3, ["x*y - z^2", "x"], (1, 1, 1)),
+    (7, ["x^2 - y^3"], (3, 2, 2)),
+    (7, ["x^3 + y^5"], (5, 3, 3)),
+    (7, ["x^2*y - z^7"], (3, 1, 1)),
+]
+
+
+def test_find_positive_weights_pinned():
+    for p, texts, expected in PINNED_WEIGHTS:
+        names = ("x0", "x1", "x2", "x3") if "x0" in texts[0] else ("x", "y", "z")
+        polys = [parse_polynomial(t, p, len(names), names=names) for t in texts]
+        assert find_positive_weights(*polys) == expected, texts
+
+
 def test_find_positive_weights_homogeneous():
     f = parse_polynomial("x*y - z^2", 5, 3, names=("x", "y", "z"))
     w = find_positive_weights(f)
@@ -167,8 +219,10 @@ def test_block_matrix_matches_brute_force(monkeypatch):
     seen = {"single source": 0, "more terms than sources": 0, "term past caps": 0}
 
     def check(g, caps, exps, strides, pos, src, tgt):
+        terms = np.array(list(g.terms), dtype=np.int64).reshape(-1, len(caps))
+        coeffs = np.array(list(g.terms.values()), dtype=np.float32)
         mat = linalg._block_matrix(
-            g, np.asarray(caps, dtype=np.int64), exps, strides, pos, src, len(tgt), np.float32
+            terms, coeffs, np.asarray(caps, dtype=np.int64), exps, strides, pos, src, len(tgt)
         )
         expected = brute_block_matrix(
             g, caps, [tuple(exps[i]) for i in src], [tuple(exps[i]) for i in tgt]

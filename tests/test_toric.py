@@ -1,5 +1,8 @@
 """Exact lattice backend: windows, certificates, Hilbert bases, volumes."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +13,10 @@ from fsig.toric import (
     SimplicialityError,
     ToricRing,
     TorusQDivisor,
+    _is_small,
+    adjugate,
     canonical_divisor,
     divisor_round,
-    fraction_matrix_inverse,
     quotient_singularity,
     row_lattice_basis,
     row_reduction_transform,
@@ -22,7 +26,10 @@ from fsig.toric import (
 )
 
 from _oracles import (
+    brute_adjugate,
+    brute_det,
     brute_invariant_hilbert_basis,
+    brute_is_small,
     brute_window_count,
     invariant_monomial_count,
     is_effective,
@@ -32,16 +39,54 @@ from _oracles import (
 # -- integer lattice helpers ---------------------------------------------------
 
 
-def test_fraction_matrix_inverse_identity():
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_adjugate_identity():
     mats = [[[2, 1], [1, 1]], [[1, 0, 0], [2, 3, 0], [1, 1, 4]]]
     for m in mats:
-        inv = fraction_matrix_inverse(m)
+        adj, det = adjugate(m)
         n = len(m)
-        prod = [
-            [sum(Fraction(m[i][k]) * inv[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        scalar = [[det * int(i == j) for j in range(n)] for i in range(n)]
+        assert _matmul(adj, m) == _matmul(m, adj) == scalar
+        assert det == brute_det(m)
+
+
+def _random_matrices(rng, d):
+    """A random, a singular and a unimodular integer d x d matrix."""
+    dense = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+    singular = [row[:] for row in dense]
+    a, b = rng.sample(range(d), 2) if d > 1 else (0, 0)
+    singular[b] = [rng.randint(-3, 3) * x for x in singular[a]] if a != b else [0]
+    unimodular = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(3 * d if d > 1 else 0):
+        a, b = rng.sample(range(d), 2)
+        k = rng.randint(-4, 4)
+        unimodular[a] = [x + k * y for x, y in zip(unimodular[a], unimodular[b])]
+    if rng.random() < 0.5:
+        unimodular[0] = [-x for x in unimodular[0]]
+    return dense, singular, unimodular
+
+
+def test_adjugate_matches_cofactor_oracle():
+    rng = random.Random(11)
+    seen = {"singular": 0, "unimodular": 0, "nonsingular": 0}
+    for d in range(1, 6):
+        for _ in range(12):
+            for kind, m in zip(("dense", "singular", "unimodular"), _random_matrices(rng, d)):
+                adj, det = adjugate(m)
+                assert det == brute_det(m), (m, det)
+                if det == 0:
+                    assert adj is None
+                    seen["singular"] += 1
+                    continue
+                assert adj == brute_adjugate(m)
+                assert _matmul(adj, m) == [[det * int(i == j) for j in range(d)] for i in range(d)]
+                seen["unimodular" if abs(det) == 1 else "nonsingular"] += 1
+                if kind == "unimodular":
+                    assert abs(det) == 1
+    assert all(seen.values()), seen
 
 
 def test_row_reduction_transform_gcd():
@@ -95,6 +140,21 @@ def test_quotient_smallness_detection():
     assert not ring.small
     small = quotient_singularity(4, (1, 3), 3)
     assert small.small
+
+
+def test_smallness_matches_the_element_loop():
+    # Smallness depends only on the weights as a multiset, so sorted
+    # tuples cover every weight tuple; the ring's flag is checked on the
+    # smaller ones.
+    for n in range(2, 41):
+        for d in (1, 2, 3):
+            for weights in itertools.combinations_with_replacement(range(n), d):
+                if math.gcd(n, *weights) != 1:
+                    continue
+                small = brute_is_small(n, weights)
+                assert _is_small(n, weights) == small, (n, weights)
+                if n <= 12:
+                    assert quotient_singularity(n, weights, 13).small == small, (n, weights)
 
 
 def test_trivial_quotient_is_regular():
