@@ -22,8 +22,9 @@ from fsig import (
     verify_transformation,
 )
 
-# A quotient cover: k[x,y]^{mu_6} inside k[x,y]^{mu_2} at p = 7.
-cover = quotient_cover(n=6, weights=(1, 5), p=7, m=2)
+# A quotient cover extends the ring it is given: k[x,y]^{mu_6} inside
+# k[x,y]^{mu_2} at p = 7; only the upper ring is built.
+cover = quotient_cover(quotient_singularity(6, (1, 5), 7), m=2)
 print(f"{cover.lower.label}  ->  {cover.upper.label}")
 print(f"degree {cover.degree}, residue degree {cover.residue_degree}")
 print(f"ramification divisor: {[str(c) for c in ramification_divisor(cover).coefficients]}")
@@ -43,7 +44,7 @@ print(f"free unit summands in the pushforward: {count_trace_summands(cover)}")
 
 # s at least doubles along a nontrivial etale-in-codim-1 cover; the
 # index-2 cover of the A_1 point attains equality.
-a1_cover = quotient_cover(n=2, weights=(1, 1), p=3, m=1)
+a1_cover = quotient_cover(quotient_singularity(2, (1, 1), 3), m=1)
 doubling = doubling_check(a1_cover)
 print(f"A_1 doubling: {doubling.s_lower} -> {doubling.s_upper}, "
       f"equality: {doubling.equality}")

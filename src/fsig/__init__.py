@@ -76,7 +76,6 @@ from .ideals import Ideal, frobenius_power, quotient_length
 from .poly import ParseError, Polynomial, parse_polynomial
 from .toric import (
     FreeClassCertificate,
-    RationalCone,
     SimplicialityError,
     ToricRing,
     TorusQDivisor,
@@ -105,7 +104,6 @@ __all__ = [
     "ParseError",
     "Polynomial",
     "PurityVerdict",
-    "RationalCone",
     "RingPresentation",
     "SimplicialityError",
     "SplittingRecord",

@@ -9,11 +9,12 @@ index of a torsion divisor class is bounded through its cyclic cover.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .covers import CoverDescriptor, _build_cover, quotient_cover
-from .frobenius import PairDivisor, RingPresentation, fsig_value
+from .frobenius import BudgetExceeded, PairDivisor, RingPresentation, fsig_value
 from .toric import (
     ToricRing,
     TorusQDivisor,
@@ -93,7 +94,7 @@ def pi1_order_bound(
     if delta is None and ring.group_order is not None and ring.group_weights is not None:
         n = ring.group_order
         if ring.small and n == bound:
-            cover = quotient_cover(n, ring.group_weights, ring.p, 1)
+            cover = quotient_cover(ring, 1)
             attained = cover.etale_in_codim1 and cover.degree == bound
     return BoundReport(s, True, bound, ring.p, "A", attained=attained,
                        note="admissible cover degrees are prime to p")
@@ -133,22 +134,29 @@ def purity_from_value(s: Fraction, p: int, exact: bool = True, provisional: bool
     )
 
 
-def etale_cover_search(ring: ToricRing) -> list[CoverDescriptor]:
+def etale_cover_search(ring: ToricRing, deadline: float | None = None) -> list[CoverDescriptor]:
     """All constructible covers of the ring that are etale in codimension one.
 
     The constructible family above a cyclic quotient consists of the
     quotient covers by the subgroups; each has degree > 1 and, being
     strictly local, is branched at the vertex, hence never etale
     everywhere.  Above a ring without a quotient presentation the family
-    is empty.
+    is empty.  The divisors of the group order come from trial division;
+    ``deadline`` is checked every 4096 candidates, and past it
+    ``BudgetExceeded`` is raised.
     """
     if ring.group_order is None or ring.group_weights is None or ring.group_order == 1:
         return []
     n = ring.group_order
-    small_divisors = [m for m in range(1, math.isqrt(n) + 1) if n % m == 0]
+    root = math.isqrt(n)
+    small_divisors = []
+    for start in range(1, root + 1, 4096):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded("time budget exhausted during the cover search", [])
+        small_divisors += [m for m in range(start, min(start + 4096, root + 1)) if n % m == 0]
     found = []
     for m in sorted(set(small_divisors + [n // m for m in small_divisors]) - {n}):
-        cover = quotient_cover(n, ring.group_weights, ring.p, m)
+        cover = quotient_cover(ring, m)
         if cover.etale_in_codim1:
             found.append(cover)
     return sorted(found, key=lambda c: c.degree)
@@ -172,7 +180,7 @@ def purity_check(
     verdict = purity_from_value(value.s, ring.p, exact=value.exact, provisional=not value.exact)
     if not value.exact or delta is not None:
         return verdict
-    covers = etale_cover_search(ring)
+    covers = etale_cover_search(ring, deadline)
     _require(not (verdict.forced and covers),
              "a cover etale in codimension one exists despite purity")
     return replace(verdict, admits_nontrivial_etale_cover=bool(covers), covers_found=tuple(covers))
@@ -243,16 +251,15 @@ def _index_cover(ring: ToricRing, facet_coeffs, u: list[Fraction], k: int) -> Co
     return cover
 
 
-def index_bound(ring: ToricRing, facet_coeffs, p: int | None = None) -> IndexReport:
+def index_bound(ring: ToricRing, facet_coeffs) -> IndexReport:
     """n <= floor(1/s) for the order n of a prime-to-p divisor class.
 
     Constructs the cyclic cover, confirms its degree is n and that it is
     etale in codimension one.
     """
-    p = ring.p if p is None else p
     u, k = _class_vector(ring, facet_coeffs)
-    if k % p == 0:
-        raise ValueError(f"p = {p} divides the class order {k}")
+    if k % ring.p == 0:
+        raise ValueError(f"p = {ring.p} divides the class order {k}")
     s = toric_fsig_exact(ring)
     if s == 0:
         raise ValueError("F-signature is zero: not strongly F-regular")
@@ -288,7 +295,7 @@ def veronese_bound(d_vars: int, m: int, p: int) -> BoundReport:
     _require(ring.small, "the Veronese action contains a pseudo-reflection")
     s = toric_fsig_exact(ring)
     _require(s == Fraction(1, m), f"the Veronese has s = {s}, not 1/{m}")
-    witness = quotient_cover(m, (1,) * d_vars, p, 1)
+    witness = quotient_cover(ring, 1)
     _require(witness.degree == m and witness.etale_in_codim1,
              "the polynomial ring does not witness the Veronese bound")
     return BoundReport(

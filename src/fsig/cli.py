@@ -46,7 +46,7 @@ from .serialize import (
     strip_timing,
     validate_document,
 )
-from .toric import SimplicialityError, ToricRing, TorusQDivisor
+from .toric import SimplicialityError, ToricRing, TorusQDivisor, quotient_singularity
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -149,10 +149,11 @@ def _build_cover_from_doc(cover_doc: dict):
     """Returns (cover, delta_lower or None)."""
     kind = cover_doc["type"]
     if kind == "quotient_cover":
-        cover = quotient_cover(
-            cover_doc["n"], tuple(cover_doc["weights"]), cover_doc["p"], cover_doc["m"]
-        )
-        return cover, None
+        n, p = cover_doc["n"], cover_doc["p"]
+        if n % p == 0:
+            raise CoverConstructionError(f"p = {p} divides n = {n}")
+        lower = quotient_singularity(n, cover_doc["weights"], p)
+        return quotient_cover(lower, cover_doc["m"]), None
     nvars = cover_doc.get("nvars", 2)
     idx = along_index(cover_doc["along"], nvars)
     cover = root_cover(nvars, idx, cover_doc["n"], cover_doc["p"])

@@ -184,18 +184,19 @@ def identity_cover(ring: ToricRing) -> CoverDescriptor:
     return _build_cover(ring, ring, eye, kind="identity")
 
 
-def quotient_cover(n: int, weights: Sequence[int], p: int, m: int) -> CoverDescriptor:
-    """The extension k[x]^{mu_n} subset k[x]^{mu_m} for m | n.
+def quotient_cover(lower: ToricRing, m: int) -> CoverDescriptor:
+    """The extension k[x]^{mu_n} subset k[x]^{mu_m} for m | n above a cyclic quotient.
 
-    Both rings are cyclic quotient singularities for the same ambient
-    weights; the subgroup mu_m acts through the weights reduced mod m.
+    The lower ring is the quotient by mu_n = ``lower.group_order``; the
+    upper ring is the quotient by its subgroup mu_m, which acts through
+    the same weights reduced mod m.  Only the upper ring is built.
     """
+    n, weights = lower.group_order, lower.group_weights
+    if n is None or weights is None:
+        raise CoverConstructionError("quotient covers need a cyclic quotient presentation")
     if m < 1 or n % m:
         raise CoverConstructionError(f"m = {m} must divide n = {n}")
-    if n % p == 0:
-        raise CoverConstructionError(f"p = {p} divides n = {n}")
-    lower = quotient_singularity(n, weights, p)
-    upper = quotient_singularity(m, tuple(a % m if m > 1 else 0 for a in weights), p)
+    upper = quotient_singularity(m, weights, lower.p)
     # row i of T solves T_i @ B_upper = B_lower[i]
     t_matrix = [upper.intrinsic_from_ambient(row) for row in lower.embedding]
     if any(row is None for row in t_matrix):
@@ -226,8 +227,8 @@ def root_cover(
     if n % p == 0 and not allow_wild:
         raise CoverConstructionError(f"p = {p} divides n = {n}")
     lower = ToricRing.regular(p, nvars)
-    upper = ToricRing.regular(p, nvars)
-    upper.label = f"regular rank {nvars}, x{along} replaced by its {n}-th root"
+    upper = ToricRing(p, lower.normals,
+                      label=f"regular rank {nvars}, x{along} replaced by its {n}-th root")
     t_matrix = [
         [n if (i == j == along) else int(i == j) for j in range(nvars)]
         for i in range(nvars)
@@ -456,23 +457,18 @@ def chain_simulation(ring: ToricRing) -> ChainReport:
     """
     if ring.group_order is None or ring.group_weights is None:
         raise ValueError("chain simulation needs a cyclic quotient presentation")
-    n = ring.group_order
-    weights = ring.group_weights
-    p = ring.p
-    orders = [n]
-    while orders[-1] > 1:
-        m = orders[-1]
-        spf = next((f for f in range(2, math.isqrt(m) + 1) if m % f == 0), m)
-        orders.append(m // spf)
     steps = []
-    s_values = [toric_fsig_exact(quotient_singularity(n, weights, p))]
-    for lo, hi in zip(orders, orders[1:]):
-        w = tuple(a % lo if lo > 1 else 0 for a in weights)
-        cover = quotient_cover(lo, w, p, hi)
+    s_values = [toric_fsig_exact(ring)]
+    lower = ring
+    while lower.group_order > 1:
+        n = lower.group_order
+        spf = next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
+        cover = quotient_cover(lower, n // spf)
         steps.append(cover)
         s_values.append(toric_fsig_exact(cover.upper))
+        lower = cover.upper
     etale_flags = tuple(c.etale_in_codim1 for c in steps)
-    ok = s_values[-1] == 1 if steps else toric_fsig_exact(ring) == 1
+    ok = s_values[-1] == 1
     for cover, s_lo, s_hi in zip(steps, s_values, s_values[1:]):
         if s_hi > 1 or s_lo > s_hi:
             ok = False

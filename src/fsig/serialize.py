@@ -17,7 +17,7 @@ import jsonschema
 from .field import is_prime
 from .frobenius import CEIL_PE_MINUS_1, FLOOR_PE, PairDivisor, RingPresentation
 from .poly import parse_polynomial
-from .toric import RationalCone, ToricRing, TorusQDivisor, quotient_singularity
+from .toric import ToricRing, TorusQDivisor, quotient_singularity
 
 
 def fraction_string(x) -> str:
@@ -207,8 +207,7 @@ def validate_document(doc: Any) -> None:
 def build_ring(doc: dict) -> ToricRing | RingPresentation:
     kind = doc["type"]
     if kind == "toric":
-        cone = RationalCone(tuple(tuple(r) for r in doc["rays"]))
-        return ToricRing.from_cone(cone, doc["p"])
+        return ToricRing(doc["p"], doc["rays"])
     if kind == "quotient":
         return quotient_singularity(doc["n"], tuple(doc["weights"]), doc["p"])
     names = tuple(doc["names"]) if doc.get("names") else None

@@ -267,42 +267,15 @@ class SimplicialityError(ValueError):
     """The cone is not simplicial; exact guarantees do not apply."""
 
 
-@dataclass(frozen=True)
-class RationalCone:
-    """A full-dimensional simplicial cone given by its primitive ray generators.
-
-    The rays live in the dual of the monomial lattice: a monomial exponent
-    u belongs to the semigroup exactly when it pairs nonnegatively with
-    every ray, so the rays double as the facet normals of the dual cone.
-    """
-
-    rays: tuple[Vector, ...]
-
-    def __post_init__(self):
-        d = len(self.rays[0]) if self.rays else 0
-        if not self.rays or any(len(r) != d for r in self.rays):
-            raise ValueError("rays must be nonempty vectors of equal length")
-        if len(self.rays) != d:
-            raise SimplicialityError(
-                f"{len(self.rays)} rays in rank {d}; only simplicial cones are supported"
-            )
-        if adjugate(self.rays)[1] == 0:
-            raise ValueError("rays are linearly dependent; cone is not full-dimensional")
-        for r in self.rays:
-            if primitive_vector(r) != tuple(r):
-                raise ValueError(f"ray {r} is not primitive")
-
-    @property
-    def facet_normals(self) -> tuple[Vector, ...]:
-        return self.rays
-
-
 class ToricRing:
     """A simplicial affine semigroup ring over GF(p).
 
     ``normals`` are the primitive facet pairings in intrinsic lattice
     coordinates; ``embedding`` maps intrinsic coordinates c to ambient
-    monomial exponents u = c @ embedding.
+    monomial exponents u = c @ embedding.  The rays of a toric document
+    are these normals: a lattice point belongs to the semigroup exactly
+    when it pairs nonnegatively with every one.  A ring never changes
+    after it is built, so covers and chains share their rings.
     """
 
     def __init__(
@@ -317,15 +290,19 @@ class ToricRing:
     ):
         self.p = p
         self.normals: tuple[Vector, ...] = tuple(tuple(int(x) for x in row) for row in normals)
-        self.d = len(self.normals)
-        if any(len(row) != self.d for row in self.normals):
-            raise SimplicialityError("facet normal matrix must be square (simplicial cone)")
+        self.d = len(self.normals[0]) if self.normals else 0
+        if not self.normals or any(len(row) != self.d for row in self.normals):
+            raise ValueError("rays must be nonempty vectors of equal length")
+        if len(self.normals) != self.d:
+            raise SimplicialityError(
+                f"{len(self.normals)} rays in rank {self.d}; only simplicial cones are supported"
+            )
         self._adj, self._det = adjugate(self.normals)
         if self._det == 0:
-            raise ValueError("facet normals are linearly dependent")
+            raise ValueError("rays are linearly dependent; cone is not full-dimensional")
         for row in self.normals:
             if primitive_vector(row) != row:
-                raise ValueError(f"facet normal {row} is not primitive")
+                raise ValueError(f"ray {row} is not primitive")
         if embedding is None:
             embedding = [[int(i == j) for j in range(self.d)] for i in range(self.d)]
         self.embedding: tuple[Vector, ...] = tuple(tuple(int(x) for x in row) for row in embedding)
@@ -333,16 +310,11 @@ class ToricRing:
         self.group_weights = group_weights
         self.small = small
         self.label = label or f"toric ring on {self.normals}"
-        self._hilbert: tuple[tuple[Vector, ...], int] | None = None
 
     @classmethod
     def regular(cls, p: int, d: int) -> ToricRing:
         eye = [[int(i == j) for j in range(d)] for i in range(d)]
         return cls(p, eye, label=f"regular rank {d}")
-
-    @classmethod
-    def from_cone(cls, cone: RationalCone, p: int) -> ToricRing:
-        return cls(p, cone.facet_normals)
 
     # -- lattice plumbing --
 
@@ -412,8 +384,6 @@ class ToricRing:
         generators lie below it.  The enumeration double-checks that every
         bounded element is a sum of generators.
         """
-        if self._hilbert is not None:
-            return self._hilbert
         rays = self.extreme_rays()
         deg = lambda c: sum(self.pairing(c))
         bound = sum(deg(r) for r in rays)
@@ -425,9 +395,7 @@ class ToricRing:
                 continue
             if not self._decomposes(c, generators):
                 generators.append(c)
-        ambient = tuple(self.embed(c) for c in generators)
-        self._hilbert = (ambient, bound)
-        return self._hilbert
+        return tuple(self.embed(c) for c in generators), bound
 
     def _decomposes(self, c: Vector, generators: list[Vector]) -> bool:
         for h in generators:
@@ -498,12 +466,9 @@ def quotient_singularity(n: int, weights: Sequence[int], p: int) -> ToricRing:
     if n > 1 and math.gcd(n, *weights) != 1:
         raise ValueError("gcd(n, weights) must be 1")
     if n == 1:
-        ring = ToricRing.regular(p, d)
-        ring.group_order = 1
-        ring.group_weights = weights
-        ring.small = True
-        ring.label = "regular (trivial quotient)"
-        return ring
+        eye = [[int(i == j) for j in range(d)] for i in range(d)]
+        return ToricRing(p, eye, group_order=1, group_weights=weights, small=True,
+                         label="regular (trivial quotient)")
     basis = congruence_lattice_basis(weights, n)
     normals = []
     for i in range(d):

@@ -257,7 +257,7 @@ def test_criterion_5_doubling_on_all_chains():
             assert report.s_upper >= 2 * report.s_lower
             checked += 1
     # A1 inside the regular plane: equality.
-    a1 = quotient_cover(2, (1, 1), 3, 1)
+    a1 = quotient_cover(quotient_singularity(2, (1, 1), 3), 1)
     report = doubling_check(a1)
     equality_seen = report.ok and report.equality
     assert equality_seen
@@ -371,10 +371,10 @@ def test_criterion_8_tower_additivity():
 
 def test_criterion_8_traces_and_summands():
     covers = [
-        quotient_cover(2, (1, 1), 3, 1),
-        quotient_cover(8, (1, 7), 3, 4),
-        quotient_cover(8, (1, 7), 3, 2),
-        quotient_cover(6, (1, 5), 7, 3),
+        quotient_cover(quotient_singularity(2, (1, 1), 3), 1),
+        quotient_cover(quotient_singularity(8, (1, 7), 3), 4),
+        quotient_cover(quotient_singularity(8, (1, 7), 3), 2),
+        quotient_cover(quotient_singularity(6, (1, 5), 7), 3),
         root_cover(2, 0, 2, 7),
         root_cover(2, 1, 3, 5),
         root_cover(2, 0, 5, 5, allow_wild=True),

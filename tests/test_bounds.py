@@ -150,9 +150,10 @@ def test_index_bound_report():
 
 
 def test_index_bound_rejects_p_dividing_order():
-    ring = quotient_singularity(3, (1, 1), 5)
-    with pytest.raises(ValueError):
-        index_bound(ring, (1, 0), p=3)
+    # The ring's own p = 2 divides the order 2 of the class (1, 0).
+    ring = ToricRing(2, [[1, 0], [1, 2]])
+    with pytest.raises(ValueError, match="p = 2 divides the class order 2"):
+        index_bound(ring, (1, 0))
 
 
 def test_veronese_bound_tight():

@@ -94,6 +94,14 @@ def test_compute_budget_abort(tmp_path):
     assert code == 3
 
 
+def test_purity_budget_bounds_the_cover_search(tmp_path, capsys):
+    # n is prime, so trial division runs to its square root, about 10^7.
+    doc = {"ring": {"type": "quotient", "n": 100000000000031, "weights": [1, 1], "p": 3}}
+    code, _ = run(tmp_path, "purity", doc, "--budget", "0.05")
+    assert code == 3
+    assert "during the cover search" in capsys.readouterr().err
+
+
 def test_compute_schema_error(tmp_path):
     code, _ = run(tmp_path, "compute", {"ring": {"type": "regular", "p": 4, "nvars": 2}})
     assert code == 2
@@ -362,8 +370,9 @@ def test_purity_cross_check_survives_optimize(tmp_path):
                       {"ring": {"type": "quotient", "n": 1, "weights": [1, 1], "p": 5}})
     script = (
         "import sys\n"
-        "from fsig import bounds, cli, quotient_cover\n"
-        "bounds.etale_cover_search = lambda ring: [quotient_cover(2, (1, 1), 5, 1)]\n"
+        "from fsig import bounds, cli, quotient_cover, quotient_singularity\n"
+        "bounds.etale_cover_search = lambda ring, deadline: [\n"
+        "    quotient_cover(quotient_singularity(2, (1, 1), 5), 1)]\n"
         f"sys.exit(cli.main(['purity', '--spec', {spec!r}]))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fsig.bounds import etale_cover_search, pi1_order_bound
 from fsig.covers import (
     CoverConstructionError,
     NonEffectivePairError,
@@ -21,6 +22,7 @@ from fsig.covers import (
     verify_transformation,
 )
 from fsig.toric import (
+    ToricRing,
     TorusQDivisor,
     quotient_singularity,
     toric_fsig_exact,
@@ -28,7 +30,7 @@ from fsig.toric import (
 
 
 def test_quotient_cover_a1():
-    cover = quotient_cover(2, (1, 1), 3, 1)
+    cover = quotient_cover(quotient_singularity(2, (1, 1), 3), 1)
     assert cover.degree == 2
     assert cover.residue_degree == 1
     assert cover.etale_in_codim1
@@ -37,22 +39,34 @@ def test_quotient_cover_a1():
 
 
 def test_quotient_cover_intermediate():
-    cover = quotient_cover(8, (1, 7), 3, 4)
+    cover = quotient_cover(quotient_singularity(8, (1, 7), 3), 4)
     assert cover.degree == 2
     assert cover.etale_in_codim1
     assert toric_fsig_exact(cover.lower) == Fraction(1, 8)
     assert toric_fsig_exact(cover.upper) == Fraction(1, 4)
 
 
+def test_quotient_cover_extends_the_given_ring():
+    ring = quotient_singularity(8, (1, 7), 3)
+    cover = quotient_cover(ring, 4)
+    assert cover.lower is ring
+    assert cover.upper.label == "1/4(1, 3)"
+
+
+def test_quotient_cover_requires_a_quotient_presentation():
+    with pytest.raises(CoverConstructionError):
+        quotient_cover(ToricRing.regular(5, 2), 1)
+
+
 def test_quotient_cover_requires_divisibility():
     with pytest.raises(CoverConstructionError):
-        quotient_cover(6, (1, 5), 7, 4)
+        quotient_cover(quotient_singularity(6, (1, 5), 7), 4)
 
 
 def test_quotient_cover_rejects_p_dividing_degree():
     # Degree n/m = 3 = p: wild, refused.
     with pytest.raises((CoverConstructionError, ValueError)):
-        quotient_cover(3, (1, 1), 3, 1)
+        quotient_cover(quotient_singularity(3, (1, 1), 3), 1)
 
 
 def test_identity_cover_trivial():
@@ -90,7 +104,7 @@ def test_root_cover_wild_needs_flag():
 
 
 def test_trace_on_upper_monomials():
-    cover = quotient_cover(2, (1, 1), 3, 1)
+    cover = quotient_cover(quotient_singularity(2, (1, 1), 3), 1)
     # x^2 (ambient (2,0)) is invariant: trace = deg * monomial, unit mod 3.
     coeff, lower = cover.trace.on_upper_monomial((2, 0))
     assert lower is not None
@@ -103,8 +117,8 @@ def test_trace_on_upper_monomials():
 
 def test_verify_note_trace_all_covers():
     covers = [
-        quotient_cover(2, (1, 1), 3, 1),
-        quotient_cover(8, (1, 7), 3, 2),
+        quotient_cover(quotient_singularity(2, (1, 1), 3), 1),
+        quotient_cover(quotient_singularity(8, (1, 7), 3), 2),
         root_cover(2, 0, 3, 7),
         root_cover(2, 1, 2, 5),
     ]
@@ -117,13 +131,13 @@ def test_verify_note_trace_all_covers():
 
 
 def test_count_trace_summands_surjective():
-    cover = quotient_cover(2, (1, 1), 3, 1)
+    cover = quotient_cover(quotient_singularity(2, (1, 1), 3), 1)
     assert cover.trace.is_surjective()
     assert count_trace_summands(cover) == 1
 
 
 def test_transformation_identity_quotient():
-    cover = quotient_cover(6, (1, 5), 7, 2)
+    cover = quotient_cover(quotient_singularity(6, (1, 5), 7), 2)
     report = verify_transformation(cover)
     assert report.ok
     assert report.exact
@@ -180,20 +194,20 @@ def test_non_effective_error_is_value_error():
 
 
 def test_doubling_inequality_and_a1_equality():
-    cover = quotient_cover(2, (1, 1), 3, 1)
+    cover = quotient_cover(quotient_singularity(2, (1, 1), 3), 1)
     report = doubling_check(cover)
     assert report.ok
     assert not report.vacuous
     assert report.equality  # 1 = 2 * (1/2) exactly
-    bigger = quotient_cover(6, (1, 5), 7, 1)
+    bigger = quotient_cover(quotient_singularity(6, (1, 5), 7), 1)
     report = doubling_check(bigger)
     assert report.ok
     assert not report.equality  # 1 > 2 * (1/6)
 
 
 def test_compose_covers_tower():
-    lower_to_mid = quotient_cover(8, (1, 7), 3, 4)
-    mid_to_top = quotient_cover(4, (1, 3), 3, 1)
+    lower_to_mid = quotient_cover(quotient_singularity(8, (1, 7), 3), 4)
+    mid_to_top = quotient_cover(quotient_singularity(4, (1, 3), 3), 1)
     tower = compose_covers(lower_to_mid, mid_to_top)
     assert tower.degree == 8
     assert tower.ram.is_zero()
@@ -210,8 +224,8 @@ def test_compose_covers_ram_additivity_with_branching():
 
 
 def test_compose_rejects_mismatched_middle():
-    first = quotient_cover(8, (1, 7), 3, 4)
-    wrong = quotient_cover(2, (1, 1), 3, 1)
+    first = quotient_cover(quotient_singularity(8, (1, 7), 3), 4)
+    wrong = quotient_cover(quotient_singularity(2, (1, 1), 3), 1)
     with pytest.raises(ValueError):
         compose_covers(first, wrong)
 
@@ -243,8 +257,34 @@ def test_chain_simulation_prime_order():
 
 
 def test_chain_requires_group_data():
-    from fsig.toric import ToricRing
-
     ring = ToricRing.regular(5, 2)
     with pytest.raises(ValueError):
         chain_simulation(ring)
+
+
+def test_chain_steps_are_linked():
+    ring = quotient_singularity(64, (1, 63), 3)
+    steps = chain_simulation(ring).steps
+    assert steps[0].lower is ring
+    assert all(lo.upper is hi.lower for lo, hi in zip(steps, steps[1:]))
+
+
+@pytest.mark.parametrize("walk, n, weights, p, builds", [
+    (etale_cover_search, 30, (1, 7), 7, 7),
+    (chain_simulation, 64, (1, 63), 3, 6),
+    (pi1_order_bound, 8, (1, 7), 3, 1),
+])
+def test_covers_build_only_their_upper_rings(monkeypatch, walk, n, weights, p, builds):
+    # One quotient_singularity call per cover: the ring a walk is given is never rebuilt.
+    import fsig.covers
+
+    ring = quotient_singularity(n, weights, p)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return quotient_singularity(*args)
+
+    monkeypatch.setattr(fsig.covers, "quotient_singularity", counting)
+    walk(ring)
+    assert len(calls) == builds

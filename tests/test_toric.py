@@ -9,7 +9,6 @@ import pytest
 
 from fsig.frobenius import fsig_sequence
 from fsig.toric import (
-    RationalCone,
     SimplicialityError,
     ToricRing,
     TorusQDivisor,
@@ -164,8 +163,19 @@ def test_trivial_quotient_is_regular():
 
 
 def test_nonsimplicial_cone_rejected():
-    with pytest.raises(SimplicialityError):
-        RationalCone(((1, 0), (0, 1), (1, 1)))
+    with pytest.raises(SimplicialityError, match="3 rays in rank 2; only simplicial cones"):
+        ToricRing(3, ((1, 0), (0, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("rays, message", [
+    ((), "rays must be nonempty vectors of equal length"),
+    (((1, 0), (1,)), "rays must be nonempty vectors of equal length"),
+    (((1, 2), (2, 4)), "rays are linearly dependent; cone is not full-dimensional"),
+    (((2, 0), (0, 1)), r"ray \(2, 0\) is not primitive"),
+])
+def test_ring_constructor_validates_the_cone(rays, message):
+    with pytest.raises(ValueError, match=message):
+        ToricRing(3, rays)
 
 
 # -- splitting numbers against the independent count ---------------------------
