@@ -7,8 +7,9 @@ Two computational backends share one vocabulary:
   window counts and the F-signature is a closed-form rational number;
 - a sequence backend for hypersurface and regular presentations
   (``frobenius``), where splitting numbers are ranks of the Fedder twist
-  on P/m^[q], cross-checked by the Groebner length q^n - lambda(P/(m^[q], g)),
-  and the limit is only ever estimated.
+  on P/m^[q] (Jordan types for separated hypersurfaces, ``sebastiani``),
+  cross-checked by the Groebner length q^n - lambda(P/(m^[q], g)), and
+  the limit is only ever estimated.
 
 On top of these sit finite covers with trace maps and ramification
 divisors (``covers``) and quantitative consequences: etale fundamental

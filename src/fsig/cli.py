@@ -149,10 +149,7 @@ def _build_cover_from_doc(cover_doc: dict):
     """Returns (cover, delta_lower or None)."""
     kind = cover_doc["type"]
     if kind == "quotient_cover":
-        n, p = cover_doc["n"], cover_doc["p"]
-        if n % p == 0:
-            raise CoverConstructionError(f"p = {p} divides n = {n}")
-        lower = quotient_singularity(n, cover_doc["weights"], p)
+        lower = quotient_singularity(cover_doc["n"], cover_doc["weights"], cover_doc["p"])
         return quotient_cover(lower, cover_doc["m"]), None
     nvars = cover_doc.get("nvars", 2)
     idx = along_index(cover_doc["along"], nvars)

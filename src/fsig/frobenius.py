@@ -4,7 +4,9 @@ Rings are presented either as a polynomial ring over GF(p) (regular) or
 as a hypersurface quotient P/(f).  By Fedder's criterion the splitting
 number is a_e = lambda(P/(m^[q] : g)) for the twist
 g = f^(q-1) * prod g_j^(r_j), which is the rank of multiplication by g
-on P/m^[q]; that rank is how a_e is computed.  The Groebner route
+on P/m^[q]; that rank is how a_e is computed, except for a separated f
+with no pair, whose a_e comes from Jordan types (fsig.sebastiani)
+without building g.  The Groebner route
 (``method="colon"``) cross-checks it without linear algebra: the exact
 sequence 0 -> P/(m^[q] : g) -> P/m^[q] -> P/(m^[q], g) -> 0 gives
 a_e = q^n - lambda(P/(m^[q], g)).  fsig_sequence also takes a toric
@@ -24,6 +26,7 @@ from typing import Sequence
 from .ideals import Ideal, frobenius_power, ideal_sum, normal_form, quotient_length
 from .linalg import find_positive_weights, multiplication_rank
 from .poly import Polynomial
+from .sebastiani import separated_splitting_number
 from .toric import ToricRing, TorusQDivisor, toric_fsig_exact, toric_splitting_number
 
 FLOOR_PE = "floor_pe"
@@ -155,8 +158,6 @@ def _twist(
 
     The factors are f and the g_j with r_j > 0, each nonzero.
     """
-    if e < 1:
-        raise ValueError("e must be a positive integer")
     q = ring.p**e
     g = Polynomial.one(ring.p, ring.nvars)
     factors: list[Polynomial] = []
@@ -186,18 +187,25 @@ def splitting_number(
 ) -> int:
     """a_e = lambda(P/(m^[q] : g)), the free rank of the e-th Frobenius pushforward.
 
+    ``method="auto"`` takes a_e of a hypersurface with no pair whose f is
+    separated (terms in pairwise disjoint variables) from
+    ``fsig.sebastiani``, and otherwise the rank of g on P/m^[q].
     ``method="colon"`` computes q^n - lambda(P/(m^[q], g)) from a grevlex
-    basis instead of the rank of g on P/m^[q].  The rank route stops with
-    ``TimeoutError`` past ``deadline`` (see ``multiplication_rank``); the
-    colon route does not check it.
+    basis.  Every route stops with ``TimeoutError`` past ``deadline``.
     """
     if method not in ("auto", "colon"):
         raise ValueError(f"unknown method {method!r}")
+    if e < 1:
+        raise ValueError("e must be a positive integer")
+    if method == "auto" and ring.kind == "hypersurface" and (delta is None or delta.is_empty()):
+        a_e = separated_splitting_number(ring.f, ring.p**e, deadline)
+        if a_e is not None:
+            return a_e
     q, g, factors = _twist(ring, delta, e)
     if method == "auto":
         return _colon_length(ring, g, q, factors, deadline)
     bracket = Ideal.bracket_maximal(ring.p, ring.nvars, q)
-    length = quotient_length(ideal_sum(bracket, Ideal(ring.p, ring.nvars, [g])))
+    length = quotient_length(ideal_sum(bracket, Ideal(ring.p, ring.nvars, [g])), deadline)
     if length == math.inf:
         raise ValueError("m^[q] + (twist) does not have finite colength")
     return q**ring.nvars - int(length)
@@ -284,10 +292,10 @@ def fsig_sequence(
     """Splitting numbers a_e for e = 1..e_max with the normalized estimate.
 
     A ToricRing (with a TorusQDivisor pair) takes its a_e from the lattice
-    window counts, a RingPresentation (with a PairDivisor) from the rank of
-    the colon twist.  ``deadline`` is checked before each e and, on a
-    presentation, before each graded block; past it ``BudgetExceeded``
-    carries the records finished so far.
+    window counts, a RingPresentation (with a PairDivisor) from
+    ``splitting_number``.  ``deadline`` is checked before each e and, on a
+    presentation, before each graded block or during each tensor product;
+    past it ``BudgetExceeded`` carries the records finished so far.
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")

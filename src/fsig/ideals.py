@@ -10,6 +10,7 @@ materializing large bases.
 from __future__ import annotations
 
 import math
+import time
 from typing import Iterable, Sequence
 
 from .field import inverse_mod
@@ -79,8 +80,12 @@ def _update_pairs(pairs: set[tuple[int, int]], leads: list[Monomial], new_index:
             pairs.add((i, j))
 
 
-def buchberger(generators: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
-    """The unique reduced Groebner basis of the span of ``generators``."""
+def buchberger(generators: Iterable[Polynomial], deadline: float | None = None) -> tuple[Polynomial, ...]:
+    """The unique reduced Groebner basis of the span of ``generators``.
+
+    Past ``deadline`` (a ``time.monotonic()`` value, checked before each
+    S-pair reduction) it raises ``TimeoutError``.
+    """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return ()
@@ -96,6 +101,8 @@ def buchberger(generators: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
         leads.append(g.leading_monomial())
         _update_pairs(pairs, leads, len(basis) - 1)
     while pairs:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("time budget exhausted during a Groebner basis")
         i, j = min(pairs, key=lambda ij: _grevlex_key(monomial_lcm(leads[ij[0]], leads[ij[1]])))
         pairs.discard((i, j))
         s = normal_form(spoly(basis[i], basis[j]), basis)
@@ -155,9 +162,9 @@ class Ideal:
             gens.append(tuple(m))
         return cls.monomial_ideal(p, nvars, gens)
 
-    def groebner(self) -> tuple[Polynomial, ...]:
+    def groebner(self, deadline: float | None = None) -> tuple[Polynomial, ...]:
         if self._basis is None:
-            self._basis = buchberger(self.generators)
+            self._basis = buchberger(self.generators, deadline)
         return self._basis
 
     def contains(self, f: Polynomial) -> bool:
@@ -185,15 +192,17 @@ def ideal_sum(left: Ideal, right: Ideal) -> Ideal:
     return Ideal(left.p, left.nvars, left.generators + right.generators)
 
 
-def quotient_length(ideal: Ideal) -> int | float:
+def quotient_length(ideal: Ideal, deadline: float | None = None) -> int | float:
     """Vector-space dimension of GF(p)[x]/I, or math.inf when infinite.
 
     Counts standard monomials of the initial ideal; the quotient is
     finite exactly when each variable has a pure power among the leads.
+    Past ``deadline`` the basis computation (see ``buchberger``) and the
+    count raise ``TimeoutError``.
     """
     if ideal.nvars == 0:
         return 0 if any(not g.is_zero() for g in ideal.generators) else 1
-    basis = ideal.groebner()
+    basis = ideal.groebner(deadline)
     if any(not g.terms for g in basis):
         return 0
     for g in basis:
@@ -210,15 +219,17 @@ def quotient_length(ideal: Ideal) -> int | float:
                 caps[i] = m[i]
     if any(c is None for c in caps):
         return math.inf
-    return _count_standard_monomials(leads, [int(c) for c in caps])
+    return _count_standard_monomials(leads, [int(c) for c in caps], deadline)
 
 
-def _count_standard_monomials(leads: list[Monomial], caps: list[int]) -> int:
+def _count_standard_monomials(leads: list[Monomial], caps: list[int], deadline: float | None) -> int:
     nvars = len(caps)
     leads = sorted(leads)
     count = 0
     stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     while stack:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("time budget exhausted while counting standard monomials")
         depth, prefix = stack.pop()
         if depth == nvars:
             count += 1

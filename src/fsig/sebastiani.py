@@ -1,0 +1,164 @@
+"""Splitting numbers of separated hypersurfaces (Thom-Sebastiani).
+
+When the terms of f use pairwise disjoint sets of variables, P/m^[q] is
+the tensor product, over the terms, of k[x_S]/(x_i^q): a k[T]-module with
+T acting on each factor as its term and on the product as the sum
+T(x)1 + 1(x)T.  Each term's q-th power lies in m^[q], so every Jordan
+block of T has size at most q, and a_e, the rank of f^(q-1), is the
+number of blocks of size exactly q (Han-Monsky, "Some surprising
+Hilbert-Kunz functions", Math. Z. 1993).  Each variable f does not
+involve contributes a factor k[z]/(z^q) with T = 0, so q blocks of size 1.
+
+A Jordan type is a dict {block size: multiplicity}.  The types of the
+terms are closed forms; two types multiply through the table of
+``block_product``, and the last two only through their free summands
+(``free_count``).  A unit coefficient does not change a Jordan type.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from collections import Counter
+
+import numpy as np
+
+from .poly import Polynomial
+
+# q bounds the O(q) loops and dicts below.  One tensor product pairs at
+# most _MAX_PAIRS block sizes, and the eliminations of one a_e (b steps on
+# a b x b matrix, b^3 cells; b = 1094 takes a few seconds) touch at most
+# _MAX_CELLS cells.
+_MAX_Q = 1 << 17
+_MAX_PAIRS = 1 << 16
+_MAX_CELLS = 1 << 32
+_TOO_LARGE = "the tensor products are too large for the separated engine"
+
+
+def separated_splitting_number(f: Polynomial, q: int, deadline: float | None = None) -> int | None:
+    """a_e of P/(f) at q = p^e when f is separated, otherwise None.
+
+    f is separated when its terms have nonempty, pairwise disjoint
+    variable supports.  Past ``deadline`` (a ``time.monotonic()`` value,
+    checked during every product) it raises ``TimeoutError``.  A q past
+    ``_MAX_Q`` raises ``ValueError`` before any loop, and so does a tensor
+    product past the caps on pairs and cells before its own loop.
+    """
+    used: set[int] = set()
+    for m in f.terms:
+        support = {i for i, e in enumerate(m) if e}
+        if not support or support & used:
+            return None
+        used |= support
+    if q > _MAX_Q:
+        raise ValueError(f"q = {q} is too large for the separated engine (at most {_MAX_Q})")
+    types = sorted((monomial_type(m, q) for m in f.terms), key=len)
+    table = _ProductTable(f.p, deadline)
+    while len(types) > 2:
+        # neighbours pairwise, so the factors of each product stay balanced
+        types = [table.tensor(*types[i : i + 2]) if i + 1 < len(types) else types[i]
+                 for i in range(0, len(types), 2)]
+    free = types[0].get(q, 0) if len(types) == 1 else free_count(types[0], types[1], q)
+    return free * q ** (f.nvars - len(used))
+
+
+def monomial_type(m: tuple[int, ...], q: int) -> dict[int, int]:
+    """Jordan type of x^m on k[x_i : m_i > 0]/(x_i^q).
+
+    The rank of the k-th power is N(k) = prod max(0, q - k m_i), so
+    N(L-1) - N(L) blocks have size at least L.
+    """
+    exps = [e for e in m if e]
+    ranks = [q ** len(exps)]
+    while ranks[-1]:
+        k = len(ranks)
+        ranks.append(math.prod(max(0, q - k * e) for e in exps))
+    ranks.append(0)
+    jordan = {}
+    for size in range(1, len(ranks) - 1):
+        count = ranks[size - 1] - 2 * ranks[size] + ranks[size + 1]
+        if count:
+            jordan[size] = count
+    return jordan
+
+
+def block_product(a: int, b: int, p: int, deadline: float | None = None) -> dict[int, int]:
+    """Jordan type of J_a(x)1 + 1(x)J_b over GF(p).
+
+    For a >= b put u = x + y: k[x,y]/(x^a, y^b) is the cokernel of
+    (u - y)^a on the free k[u]-module with basis 1, y, .., y^(b-1).
+    Entry (r, c) of that matrix is (-1)^(r-c) C(a, r-c) u^(a-r+c), so the
+    matrix is homogeneous: a pivot of least u-valuation divides every
+    entry, and eliminating with it keeps the pattern.  Its Smith form is
+    one elimination over GF(p) in order of valuation, and the valuations
+    of the pivots are the block sizes.
+    """
+    if a < b:
+        a, b = b, a
+    index = np.arange(b)
+    binom = np.array([(-1) ** k * math.comb(a, k) % p for k in range(b)], dtype=np.int64)
+    offset = index[:, None] - index[None, :]
+    mat = np.where(offset >= 0, binom[np.maximum(offset, 0)], 0)
+    sizes: Counter[int] = Counter()
+    for _ in range(b):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("time budget exhausted during a tensor product")
+        # the least valuation a - r + c: per column its lowest nonzero row r
+        nonzero = mat != 0
+        lowest = b - 1 - np.argmax(nonzero[::-1], axis=0)
+        c = int(np.argmax(np.where(nonzero.any(axis=0), lowest - index, -b)))
+        r = int(lowest[c])
+        sizes[a - r + c] += 1
+        rows = nonzero[:, c].nonzero()[0]
+        rows = rows[rows != r]
+        if rows.size:
+            factor = mat[rows, c] * pow(int(mat[r, c]), p - 2, p) % p
+            block = mat[rows]
+            block -= factor[:, None] * mat[r]
+            block %= p
+            mat[rows] = block
+        mat[r] = 0
+        mat[:, c] = 0
+    return dict(sizes)
+
+
+def free_count(left: dict[int, int], right: dict[int, int], q: int) -> int:
+    """Blocks of size q in left (x) right, for types with blocks of size <= q.
+
+    J_a (x) J_b holds max(0, a + b - q) of them, so the count is the sum
+    over a of n_a (sum over b > q - a of n_b (a + b - q)), read from
+    suffix sums of n_b and b n_b.
+    """
+    count, weight = [0] * (q + 2), [0] * (q + 2)
+    for b, n in right.items():
+        count[b], weight[b] = n, b * n
+    for size in range(q, 0, -1):
+        count[size] += count[size + 1]
+        weight[size] += weight[size + 1]
+    return sum(n * (weight[q - a + 1] + (a - q) * count[q - a + 1]) for a, n in left.items())
+
+
+class _ProductTable:
+    """Tensor products of Jordan types, each ``block_product`` computed once."""
+
+    def __init__(self, p: int, deadline: float | None):
+        self.p = p
+        self.deadline = deadline
+        self.types: dict[tuple[int, int], dict[int, int]] = {}
+        self.cells = 0
+
+    def tensor(self, left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
+        if len(left) * len(right) > _MAX_PAIRS:
+            raise ValueError(_TOO_LARGE)
+        new = {(min(a, b), max(a, b)) for a in left for b in right} - self.types.keys()
+        self.cells += sum(key[0] ** 3 for key in new)
+        if self.cells > _MAX_CELLS:
+            raise ValueError(_TOO_LARGE)
+        for key in new:
+            self.types[key] = block_product(*key, self.p, self.deadline)
+        out: Counter[int] = Counter()
+        for a, m in left.items():
+            for b, n in right.items():
+                for size, k in self.types[min(a, b), max(a, b)].items():
+                    out[size] += m * n * k
+        return dict(out)

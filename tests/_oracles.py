@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from fsig.frobenius import RingPresentation, in_bracket_maximal
+from fsig.linalg import rank_mod_p_reference
 from fsig.poly import Polynomial, default_names
 from fsig.toric import TorusQDivisor
 
@@ -125,6 +126,33 @@ def brute_colon_complement_length(g: Polynomial, q: int) -> int:
         rank += 1
         pivot_col += 1
     return rank
+
+
+def brute_jordan_product(a: int, b: int, p: int) -> dict[int, int]:
+    """Jordan type {size: count} of J_a (x) 1 + 1 (x) J_b over GF(p).
+
+    The operator is multiplication by x + y on GF(p)[x, y]/(x^a, y^b).
+    Its k-th power multiplies x^i y^j by sum_t C(k, t) x^(i+t) y^(j+k-t),
+    which raises the degree by k, so its rank r_k is the sum of the ranks
+    of its pieces from degree d to degree d + k, written out on monomials.
+    Then r_(L-1) - 2 r_L + r_(L+1) blocks have size exactly L.
+    """
+    pieces: dict[int, list[int]] = {}
+    for i in range(a):
+        for j in range(b):
+            pieces.setdefault(i + j, []).append(i)
+    ranks = [a * b]
+    while ranks[-1]:
+        k = len(ranks)
+        rank = 0
+        for d, sources in pieces.items():
+            targets = pieces.get(d + k, [])
+            rows = [[math.comb(k, s - i) if 0 <= s - i <= k else 0 for s in targets] for i in sources]
+            rank += rank_mod_p_reference(rows, p)
+        ranks.append(rank)
+    ranks.append(0)
+    counts = {size: ranks[size - 1] - 2 * ranks[size] + ranks[size + 1] for size in range(1, len(ranks) - 1)}
+    return {size: count for size, count in counts.items() if count}
 
 
 def brute_block_matrix(

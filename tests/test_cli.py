@@ -85,13 +85,57 @@ def test_compute_rejects_toric_backend_for_presentation(tmp_path):
 
 
 def test_compute_budget_abort(tmp_path):
+    # x0*x1 makes f non-separated, so the budget stops the graded rank route
     doc = {
         "ring": {"type": "hypersurface", "p": 3, "nvars": 4,
-                 "f": "x0^2 + x1^2 + x2^2 + x3^2"},
+                 "f": "x0^2 + x1^2 + x2^2 + x3^2 + x0*x1"},
         "options": {"e_max": 3},
     }
     code, _ = run(tmp_path, "compute", doc, "--budget", "0.01")
     assert code == 3
+
+
+QUADRIC_P3 = {"ring": {"type": "hypersurface", "p": 3, "nvars": 4,
+                       "f": "x0^2 + x1^2 + x2^2 + x3^2"}}
+
+
+def test_compute_quadric_past_the_box_cap(tmp_path):
+    # (2q^3 + q)/3 at q = 81; the rank route refuses the 81^4 box
+    code, report = run(tmp_path, "compute", QUADRIC_P3, "--e-max", "4")
+    assert code == 0
+    assert [r["a_e"] for r in report["records"]] == [19, 489, 13131, 354321]
+
+
+def test_compute_budget_stops_the_separated_engine(tmp_path, capsys):
+    # e <= 6 takes well under a second; each product of e = 7 takes seconds
+    started = time.monotonic()
+    code, report = run(tmp_path, "compute", QUADRIC_P3, "--e-max", "7", "--budget", "1")
+    assert code == 3
+    assert report is None
+    assert "budget exhausted: time budget exhausted during e = " in capsys.readouterr().err
+    assert time.monotonic() - started < 30
+
+
+def test_compute_huge_e_max_on_a_separated_f_exits_2(tmp_path, capsys):
+    doc = {"ring": {"type": "hypersurface", "p": 3, "nvars": 3, "f": "x*y - z^2",
+                    "names": ["x", "y", "z"]}}
+    started = time.monotonic()
+    code, _ = run(tmp_path, "compute", doc, "--e-max", "40")
+    assert code == 2
+    assert "too large for the separated engine" in capsys.readouterr().err
+    assert time.monotonic() - started < 10
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("compute", {"ring": {"type": "quotient", "n": 6, "weights": [1, 5], "p": 3}}),
+    ("verify", {"cover": {"type": "quotient_cover", "n": 6, "weights": [1, 5], "m": 2, "p": 3}}),
+])
+def test_p_dividing_n_has_one_message(tmp_path, capsys, command, doc):
+    code, _ = run(tmp_path, command, doc)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "input error: p = 3 divides n = 6: the cover degree must be prime to p\n"
+    )
 
 
 def test_purity_budget_bounds_the_cover_search(tmp_path, capsys):

@@ -115,9 +115,14 @@ def test_colon_route_does_not_use_the_rank_kernel(monkeypatch):
 
 def test_colon_route_rejects_infinite_length(monkeypatch):
     # a typed error rather than an assert, so the check survives python -O
-    monkeypatch.setattr("fsig.frobenius.quotient_length", lambda ideal: math.inf)
+    monkeypatch.setattr("fsig.frobenius.quotient_length", lambda ideal, deadline=None: math.inf)
     with pytest.raises(ValueError):
         splitting_number(a1_surface(), None, 1, method="colon")
+
+
+def test_colon_route_stops_past_deadline():
+    with pytest.raises(TimeoutError, match="during a Groebner basis"):
+        splitting_number(a1_surface(), None, 2, method="colon", deadline=time.monotonic() - 1)
 
 
 def test_a1_brute_force_agrees():
@@ -269,6 +274,9 @@ def test_budget_exceeded_carries_partial_records():
 def test_budget_checked_between_graded_blocks(monkeypatch):
     # The clock passes the deadline once e = 2 starts its rank, so only the
     # check before each graded block can stop that level; e = 1 is kept.
+    # x*y - z^2 + x*z is not separated, so it takes the graded rank route;
+    # over GF(3) it is a nondegenerate ternary form, like the A_1 surface.
+    f = parse_polynomial("x*y - z^2 + x*z", 3, 3, names=("x", "y", "z"))
     clock = [0.0]
     monkeypatch.setattr(time, "monotonic", lambda: clock[0])
     real_rank = frobenius.multiplication_rank
@@ -280,7 +288,7 @@ def test_budget_checked_between_graded_blocks(monkeypatch):
 
     monkeypatch.setattr(frobenius, "multiplication_rank", rank_past_deadline)
     with pytest.raises(BudgetExceeded, match="during e = 2") as err:
-        fsig_sequence(a1_surface(), e_max=3, deadline=1.0)
+        fsig_sequence(RingPresentation.hypersurface(f), e_max=3, deadline=1.0)
     assert [r.a_e for r in err.value.records] == [5]
 
 

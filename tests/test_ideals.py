@@ -1,6 +1,7 @@
 """Groebner bases, bracket powers, and quotient lengths."""
 
 import math
+import time
 
 import pytest
 
@@ -102,3 +103,17 @@ def test_colon_with_bracket_power_matches_brute_force():
     g = f ** (q - 1)
     total = ideal_sum(Ideal.bracket_maximal(p, 3, q), Ideal(p, 3, [g]))
     assert q**3 - quotient_length(total) == brute_colon_complement_length(g, q) == 5
+
+
+def test_buchberger_stops_past_deadline():
+    with pytest.raises(TimeoutError, match="during a Groebner basis"):
+        buchberger([poly("x^2 - y"), poly("x*y - z")], deadline=time.monotonic() - 1)
+
+
+def test_standard_monomial_count_stops_past_deadline():
+    # the basis is cached first, so only the count can see the deadline
+    ideal = ideal_sum(Ideal.bracket_maximal(3, 3, 9), Ideal(3, 3, [poly("x*y - z^2", p=3) ** 8]))
+    ideal.groebner()
+    with pytest.raises(TimeoutError, match="counting standard monomials"):
+        quotient_length(ideal, deadline=time.monotonic() - 1)
+    assert quotient_length(ideal) == 9**3 - 41
