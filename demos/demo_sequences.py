@@ -36,7 +36,8 @@ print(f"consistency residual within 1/q: {seq.consistent}")
 assert seq.extrapolated == Fraction(121, 243)
 assert abs(seq.records[-1].normalized - Fraction(1, 2)) <= Fraction(1, 243)
 
-# Hilbert-Kunz lengths from the same engine: lambda(R/m^[q])/q^d.
+# Hilbert-Kunz lengths lambda(R/m^[q])/q^d: x*y - z^2 is separated, so
+# they are Jordan block counts of the Thom-Sebastiani engine, not ranks.
 hk = hk_length_sequence(ring, ring.maximal_ideal(), 3)
 print("normalized HK lengths:", [str(v) for v in hk])
 

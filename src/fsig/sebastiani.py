@@ -1,18 +1,27 @@
-"""Splitting numbers of separated hypersurfaces (Thom-Sebastiani).
+"""Splitting numbers and colengths of separated hypersurfaces (Thom-Sebastiani).
 
-When the terms of f use pairwise disjoint sets of variables, P/m^[q] is
-the tensor product, over the terms, of k[x_S]/(x_i^q): a k[T]-module with
-T acting on each factor as its term and on the product as the sum
-T(x)1 + 1(x)T.  Each term's q-th power lies in m^[q], so every Jordan
-block of T has size at most q, and a_e, the rank of f^(q-1), is the
-number of blocks of size exactly q (Han-Monsky, "Some surprising
-Hilbert-Kunz functions", Math. Z. 1993).  Each variable f does not
-involve contributes a factor k[z]/(z^q) with T = 0, so q blocks of size 1.
+When the terms of f use pairwise disjoint sets of variables, the box
+P/(x_i^(c_i)) is the tensor product, over the terms, of
+k[x_S]/(x_i^(c_i)): a k[T]-module with T acting on each factor as its
+term and on the product as the sum T(x)1 + 1(x)T.  The caps are per
+variable: c_i = q at m^[q], c_i = a_i q at (x_i^(a_i))^[q].  Two numbers
+are read off the Jordan type of T (Han-Monsky, "Some surprising
+Hilbert-Kunz functions", Math. Z. 1993):
+
+- with every cap q, each term's q-th power lies in m^[q], so every block
+  has size at most q, and a_e, the rank of f^(q-1), is the number of
+  blocks of size exactly q;
+- the colength lambda(P/(x_i^(c_i), f)), the cokernel of T, is the number
+  of blocks, whatever the caps.
+
+Each variable f does not involve contributes a factor k[z]/(z^c) with
+T = 0, so c blocks of size 1, and multiplies both numbers by its cap.
 
 A Jordan type is a dict {block size: multiplicity}.  The types of the
 terms are closed forms; two types multiply through the table of
-``block_product``, and the last two only through their free summands
-(``free_count``).  A unit coefficient does not change a Jordan type.
+``block_product``, and the last two are read only through their free
+summands (``free_count``) or their block count (``block_count``).  A unit
+coefficient does not change a Jordan type.
 """
 
 from __future__ import annotations
@@ -42,7 +51,40 @@ def separated_splitting_number(f: Polynomial, q: int, deadline: float | None = N
     variable supports.  Past ``deadline`` (a ``time.monotonic()`` value,
     checked during every product) it raises ``TimeoutError``.  A q past
     ``_MAX_Q`` raises ``ValueError`` before any loop, and so does a tensor
-    product past the caps on pairs and cells before its own loop.
+    product past the limits on pairs and cells before its own loop.
+    """
+    walk = _last_types(f, (q,) * f.nvars, deadline)
+    if walk is None:
+        return None
+    types, unused = walk
+    free = types[0].get(q, 0) if len(types) == 1 else free_count(*types, q)
+    return free * unused
+
+
+def separated_colength(f: Polynomial, caps: tuple[int, ...], deadline: float | None = None) -> int | None:
+    """lambda(P/(x_i^(caps_i), f)) when f is separated, otherwise None.
+
+    The colength is the number of Jordan blocks of f on the box, so
+    ``q^n - separated_colength(f, (q,) * n)`` is the rank of f there.  The
+    caps must be positive; the refusals are those of
+    ``separated_splitting_number``, with the largest cap in place of q.
+    """
+    walk = _last_types(f, caps, deadline)
+    if walk is None:
+        return None
+    types, unused = walk
+    blocks = sum(types[0].values()) if len(types) == 1 else block_count(*types)
+    return blocks * unused
+
+
+def _last_types(
+    f: Polynomial, caps: tuple[int, ...], deadline: float | None
+) -> tuple[list[dict[int, int]], int] | None:
+    """The last one or two Jordan types of f's terms on P/(x_i^(caps_i)).
+
+    Balanced pairwise tensor products reduce the terms' types to at most
+    two; the second value is the product of the caps of the variables f
+    does not use.  None when f is not separated.
     """
     used: set[int] = set()
     for m in f.terms:
@@ -50,29 +92,34 @@ def separated_splitting_number(f: Polynomial, q: int, deadline: float | None = N
         if not support or support & used:
             return None
         used |= support
-    if q > _MAX_Q:
-        raise ValueError(f"q = {q} is too large for the separated engine (at most {_MAX_Q})")
-    types = sorted((monomial_type(m, q) for m in f.terms), key=len)
+    if max(caps) > _MAX_Q:
+        raise ValueError(
+            f"exponent cap {max(caps)} is too large for the separated engine"
+            f" (at most {_MAX_Q}; at m^[q] the cap is q)"
+        )
+    types = sorted((monomial_type(m, caps) for m in f.terms), key=len)
     table = _ProductTable(f.p, deadline)
     while len(types) > 2:
         # neighbours pairwise, so the factors of each product stay balanced
         types = [table.tensor(*types[i : i + 2]) if i + 1 < len(types) else types[i]
                  for i in range(0, len(types), 2)]
-    free = types[0].get(q, 0) if len(types) == 1 else free_count(types[0], types[1], q)
-    return free * q ** (f.nvars - len(used))
+    return types, math.prod(c for i, c in enumerate(caps) if i not in used)
 
 
-def monomial_type(m: tuple[int, ...], q: int) -> dict[int, int]:
-    """Jordan type of x^m on k[x_i : m_i > 0]/(x_i^q).
+def monomial_type(m: tuple[int, ...], caps: int | tuple[int, ...]) -> dict[int, int]:
+    """Jordan type of x^m on k[x_i : m_i > 0]/(x_i^(caps_i)).
 
-    The rank of the k-th power is N(k) = prod max(0, q - k m_i), so
-    N(L-1) - N(L) blocks have size at least L.
+    An int cap applies to every variable.  The rank of the k-th power is
+    N(k) = prod max(0, c_i - k m_i), so N(L-1) - N(L) blocks have size at
+    least L.
     """
-    exps = [e for e in m if e]
-    ranks = [q ** len(exps)]
+    if isinstance(caps, int):
+        caps = (caps,) * len(m)
+    pairs = [(e, c) for e, c in zip(m, caps) if e]
+    ranks = [math.prod(c for _, c in pairs)]
     while ranks[-1]:
         k = len(ranks)
-        ranks.append(math.prod(max(0, q - k * e) for e in exps))
+        ranks.append(math.prod(max(0, c - k * e) for e, c in pairs))
     ranks.append(0)
     jordan = {}
     for size in range(1, len(ranks) - 1):
@@ -136,6 +183,25 @@ def free_count(left: dict[int, int], right: dict[int, int], q: int) -> int:
         count[size] += count[size + 1]
         weight[size] += weight[size + 1]
     return sum(n * (weight[q - a + 1] + (a - q) * count[q - a + 1]) for a, n in left.items())
+
+
+def block_count(left: dict[int, int], right: dict[int, int]) -> int:
+    """Jordan blocks of left (x) right.
+
+    J_a (x) J_b has min(a, b) blocks in every characteristic: its cokernel
+    is k[x, y]/(x^a, y^b, x + y) = k[x]/(x^min(a, b)).  min(a, b) counts
+    the s <= a with s <= b, so the count is the sum over a of n_a times
+    the prefix sum up to a of (blocks of right of size >= s).
+    """
+    top = max(right)
+    reach = [0] * (top + 1)
+    for b, n in right.items():
+        reach[b] = n
+    for size in range(top - 1, 0, -1):  # blocks of right of size >= size
+        reach[size] += reach[size + 1]
+    for size in range(2, top + 1):  # those counts summed over 1..size
+        reach[size] += reach[size - 1]
+    return sum(n * reach[min(a, top)] for a, n in left.items())
 
 
 class _ProductTable:

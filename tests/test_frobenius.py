@@ -25,6 +25,7 @@ from fsig.frobenius import (
     splitting_number,
     _twist,
 )
+from fsig.ideals import Ideal
 from fsig.linalg import find_positive_weights
 from fsig.poly import Polynomial, parse_polynomial
 from fsig.toric import quotient_singularity
@@ -231,6 +232,26 @@ def test_hilbert_kunz_lengths():
     values = hk_length_sequence(ring, ideal, 3)
     expected = [Fraction(13, 9), Fraction(121, 81), Fraction(1093, 729)]
     assert values == expected
+
+
+def linear_ideal(*gens):
+    return Ideal(3, 3, [parse_polynomial(g, 3, 3, names=("x", "y", "z")) for g in gens])
+
+
+def test_hilbert_kunz_lengths_at_linear_forms_spanning_m(monkeypatch):
+    # (x + y, y - z, z) is m, so its Frobenius powers are boxes: no Groebner basis
+    monkeypatch.setattr(frobenius, "quotient_length", None)
+    values = hk_length_sequence(a1_surface(), linear_ideal("x + y", "y - z", "z"), 2)
+    assert values == [Fraction(13, 9), Fraction(121, 81)]
+
+
+def test_hilbert_kunz_lengths_at_rank_deficient_linear_forms():
+    # (x + y, 2x + 2y, z) = (x + y, z) is not m
+    ideal = linear_ideal("x + y", "2*x + 2*y", "z")
+    with pytest.raises(ValueError, match="does not have finite colength"):
+        hk_length_sequence(RingPresentation.regular(3, 3), ideal, 2)
+    # on x*y - z^2 it is a reduction of m (m^2 = (x + y, z) m), so its lengths are e(m) q^2
+    assert hk_length_sequence(a1_surface(), ideal, 2) == [2, 2]
 
 
 def test_sfr_witness_immediate_for_f_pure():

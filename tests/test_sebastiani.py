@@ -1,22 +1,28 @@
 """The Thom-Sebastiani engine against the rank route and brute-force types."""
 
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from fsig import frobenius
-from fsig.frobenius import RingPresentation, fsig_sequence, splitting_number
+from fsig.frobenius import RingPresentation, fsig_sequence, hk_length_sequence, splitting_number
+from fsig.ideals import Ideal
+from fsig.linalg import find_positive_weights, multiplication_rank, rank_mod_p_reference
 from fsig.poly import Polynomial, parse_polynomial
 from fsig.sebastiani import (
+    block_count,
     block_product,
     free_count,
     monomial_type,
+    separated_colength,
     separated_splitting_number,
 )
 from fsig.toric import quotient_singularity, toric_splitting_number
 
-from _oracles import brute_jordan_product
+from _oracles import brute_block_matrix, brute_jordan_product, iter_box_monomials
 
 XYZ = ("x", "y", "z")
 X4 = ("x0", "x1", "x2", "x3")
@@ -52,6 +58,34 @@ def rank_route(ring, e):
     return frobenius._colon_length(ring, g, q, factors)
 
 
+def random_separated(rng, p, nvars, nterms):
+    """f with nterms terms in disjoint variables and unit coefficients.
+
+    Each term takes at least one variable, exponents 1..3; a variable left
+    over joins a random term or, half the time, stays out of f.
+    """
+    order = list(range(nvars))
+    rng.shuffle(order)
+    supports = [[i] for i in order[:nterms]]
+    for i in order[nterms:]:
+        if rng.random() < 0.5:
+            rng.choice(supports).append(i)
+    terms = {}
+    for support in supports:
+        exps = [0] * nvars
+        for i in support:
+            exps[i] = rng.randint(1, 3)
+        terms[tuple(exps)] = rng.randrange(1, p)
+    return Polynomial(p, nvars, terms)
+
+
+def rank_route_hk(monkeypatch, ring, ideal, e_max):
+    """hk_length_sequence with the engine declining, so the box goes through the rank."""
+    with monkeypatch.context() as patch:
+        patch.setattr(frobenius, "separated_colength", lambda f, caps, deadline=None: None)
+        return hk_length_sequence(ring, ideal, e_max)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_block_product_matches_brute_types(p):
     for a in range(1, 13):
@@ -76,6 +110,31 @@ def test_free_count_sums_over_types():
     expected = sum(m * n * brute_jordan_product(a, b, 2).get(q, 0)
                    for a, m in left.items() for b, n in right.items())
     assert free_count(left, right, q) == expected == 168
+
+
+def test_block_count_sums_min_over_types():
+    left, right = {1: 2, 3: 5, 4: 1}, {2: 3, 4: 7, 6: 1}
+    expected = sum(m * n * min(a, b) for a, m in left.items() for b, n in right.items())
+    assert block_count(left, right) == expected == 210
+    for a in range(1, 9):
+        for b in range(1, 9):
+            assert block_count({a: 1}, {b: 1}) == sum(brute_jordan_product(a, b, 3).values()) == min(a, b)
+
+
+def test_monomial_type_with_per_variable_caps_matches_brute_ranks():
+    # rank of (x^m)^k on the box is sum over blocks of max(0, size - k)
+    rng = random.Random(7)
+    for _ in range(30):
+        nvars = rng.randint(1, 3)
+        m = tuple(rng.randint(1, 3) for _ in range(nvars))
+        caps = tuple(rng.randint(1, 6) for _ in range(nvars))
+        jordan = monomial_type(m, caps)
+        assert sum(size * n for size, n in jordan.items()) == math.prod(caps)
+        box = list(iter_box_monomials(caps))
+        for k in range(1, max(caps) + 1):
+            power = Polynomial.monomial(tuple(k * e for e in m), 2)
+            brute = rank_mod_p_reference(brute_block_matrix(power, caps, box, box), 2)
+            assert brute == sum(n * max(0, size - k) for size, n in jordan.items()), (m, caps, k)
 
 
 def test_monomial_type_of_xy_has_one_chain_per_diagonal():
@@ -130,7 +189,9 @@ def test_engine_reaches_past_the_box_cap():
 
 @pytest.mark.parametrize("text", ["x*y - z^2 + x*z", "x*y + y*z + z*x", "x*y - z^2 + 1"])
 def test_engine_declines_f_that_is_not_separated(text):
-    assert separated_splitting_number(parse_polynomial(text, 3, 3, names=XYZ), 9) is None
+    f = parse_polynomial(text, 3, 3, names=XYZ)
+    assert separated_splitting_number(f, 9) is None
+    assert separated_colength(f, (9, 3, 18)) is None
 
 
 def test_engine_stops_past_deadline():
@@ -164,3 +225,68 @@ def test_a_pair_keeps_the_rank_route(monkeypatch):
     delta = frobenius.PairDivisor.of([(parse_polynomial("x + z", 3, 3, names=XYZ), "1/3")])
     monkeypatch.setattr(frobenius, "separated_splitting_number", None)
     assert [r.a_e for r in fsig_sequence(ring, delta, e_max=3).records] == [2, 18, 162]
+
+
+def test_colength_matches_rank_route_on_random_separated_f():
+    rng = random.Random(20261)
+    for _ in range(40):
+        p = rng.choice([2, 3, 5, 7])
+        nterms = rng.randint(2, 4)
+        f = random_separated(rng, p, rng.randint(nterms, 4), nterms)
+        weights = find_positive_weights(f)
+        a = [rng.randint(1, 3) for _ in range(f.nvars)]
+        for e in (1, 2):
+            caps = tuple(ai * p**e for ai in a)
+            if math.prod(caps) > 20_000:
+                break
+            expected = math.prod(caps) - multiplication_rank(f, caps, weights)
+            assert separated_colength(f, caps) == expected, (f.terms, caps)
+
+
+def test_hk_lengths_of_f_that_is_not_separated_reach_the_rank(monkeypatch):
+    ring = hypersurface("x*y + y*z + z*x", XYZ, 3)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return multiplication_rank(*args, **kwargs)
+
+    monkeypatch.setattr(frobenius, "multiplication_rank", counted)
+    values = hk_length_sequence(ring, ring.maximal_ideal(), 2)
+    assert calls == [(3, 3, 3), (9, 9, 9)]
+    bracket = Ideal(3, 3, [parse_polynomial(v, 3, 3, names=XYZ) for v in ("x^9", "y^9", "z^9")])
+    groebner = frobenius.quotient_length(frobenius.ideal_sum(bracket, Ideal(3, 3, [ring.f])))
+    assert values[1] == Fraction(groebner, 81)
+
+
+@pytest.mark.parametrize("text, p, gens, e_max", [
+    ("x*y - z^2", 3, None, 3),
+    ("x*y - z^2", 3, ("x^2", "y", "z^3"), 2),
+    ("x^2 + y^3 + z^5", 7, None, 2),
+    ("x^2 + y^3 + z^5", 5, ("x", "y^2", "z^2"), 2),
+])
+def test_hk_lengths_from_the_engine_match_the_rank_route(monkeypatch, text, p, gens, e_max):
+    ring = hypersurface(text, XYZ, p)
+    ideal = ring.maximal_ideal() if gens is None else Ideal(
+        p, 3, [parse_polynomial(g, p, 3, names=XYZ) for g in gens])
+    assert hk_length_sequence(ring, ideal, e_max) == rank_route_hk(monkeypatch, ring, ideal, e_max)
+
+
+def test_hk_lengths_of_e8_reach_past_the_box_cap():
+    # lambda(R/m^[q])/q^2 of x^2 + y^3 + z^5, a quotient by the binary
+    # icosahedral group (|G| = 120); Watanabe-Yoshida give the limit
+    # 2 - 1/|G| = 239/120, a reference value only, never an exact s.
+    ring = hypersurface("x^2 + y^3 + z^5", XYZ, 5)
+    started = time.monotonic()
+    assert hk_length_sequence(ring, ring.maximal_ideal(), 3) == [2, 2, 2]
+    assert time.monotonic() - started < 1
+    ring = hypersurface("x^2 + y^3 + z^5", XYZ, 7)
+    values = hk_length_sequence(ring, ring.maximal_ideal(), 3)
+    assert values == [Fraction(96, 49), Fraction(683, 343), Fraction(234316, 117649)]
+    assert abs(values[-1] - Fraction(239, 120)) < Fraction(1, 10**4)
+
+
+def test_quadric_splitting_numbers_up_to_e6():
+    ring = hypersurface(QUADRIC, X4, 3)
+    a_e = [splitting_number(ring, e=e) for e in (5, 6)]
+    assert a_e == [9566019, 258280569] == [(2 * q**3 + q) // 3 for q in (243, 729)]
