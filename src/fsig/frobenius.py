@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .ideals import Ideal, frobenius_power, ideal_sum, normal_form, quotient_length
-from .linalg import find_positive_weights, multiplication_rank, rank_mod_p
+from .linalg import find_positive_weights, multiplication_rank
 from .poly import Polynomial
 from .sebastiani import separated_colength, separated_splitting_number
 from .toric import ToricRing, TorusQDivisor, toric_fsig_exact, toric_splitting_number
@@ -469,9 +469,8 @@ def perturbed_limit_check(
 def hk_length_sequence(ring: RingPresentation, ideal: Ideal, e_max: int) -> list[Fraction]:
     """Normalized Hilbert-Kunz lengths lambda(R/I^[q] R)/q^d for e = 1..e_max.
 
-    When I^[q] is a box (x_i^(a_i q)), that is when I is generated by pure
-    variable powers x_i^(a_i) or by linear forms that span all variables
-    (then I = m), the length of a regular ring is prod a_i q.  On a
+    When I is generated by pure variable powers x_i^(a_i), I^[q] is the box
+    (x_i^(a_i q)) and the length of a regular ring is prod a_i q.  On a
     hypersurface it is the block count of ``separated_colength`` when f is
     separated, and otherwise prod a_i q less the rank of f on the box
     (``multiplication_rank``).  Any other ideal takes the Groebner route,
@@ -505,21 +504,9 @@ def hk_length_sequence(ring: RingPresentation, ideal: Ideal, e_max: int) -> list
 
 
 def _diagonal_caps(ideal: Ideal) -> tuple[int, ...] | None:
-    """Exponents a_i with I^[q] = (x_i^(a_i q) : i), or None.
-
-    I^[q] depends only on I.  Linear forms of rank n over GF(p) generate
-    m, so every a_i is 1; pure variable powers give the least exponent of
-    each variable, which must all occur.
-    """
-    gens = ideal.generators
-    if gens and all(sum(m) == 1 for g in gens for m in g.terms):
-        rows = [[0] * ideal.nvars for _ in gens]
-        for row, g in zip(rows, gens):
-            for m, c in g.terms.items():
-                row[m.index(1)] = c
-        return (1,) * ideal.nvars if rank_mod_p(rows, ideal.p) == ideal.nvars else None
+    """Exponent caps when the ideal is generated by pure variable powers."""
     caps = [0] * ideal.nvars
-    for g in gens:
+    for g in ideal.generators:
         if not g.is_monomial():
             return None
         m = next(iter(g.terms))

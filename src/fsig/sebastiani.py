@@ -61,7 +61,7 @@ def separated_splitting_number(f: Polynomial, q: int, deadline: float | None = N
     return free * unused
 
 
-def separated_colength(f: Polynomial, caps: tuple[int, ...], deadline: float | None = None) -> int | None:
+def separated_colength(f: Polynomial, caps: tuple[int, ...]) -> int | None:
     """lambda(P/(x_i^(caps_i), f)) when f is separated, otherwise None.
 
     The colength is the number of Jordan blocks of f on the box, so
@@ -69,7 +69,7 @@ def separated_colength(f: Polynomial, caps: tuple[int, ...], deadline: float | N
     caps must be positive; the refusals are those of
     ``separated_splitting_number``, with the largest cap in place of q.
     """
-    walk = _last_types(f, caps, deadline)
+    walk = _last_types(f, caps, None)
     if walk is None:
         return None
     types, unused = walk
@@ -106,21 +106,17 @@ def _last_types(
     return types, math.prod(c for i, c in enumerate(caps) if i not in used)
 
 
-def monomial_type(m: tuple[int, ...], caps: int | tuple[int, ...]) -> dict[int, int]:
+def monomial_type(m: tuple[int, ...], caps: tuple[int, ...]) -> dict[int, int]:
     """Jordan type of x^m on k[x_i : m_i > 0]/(x_i^(caps_i)).
 
-    An int cap applies to every variable.  The rank of the k-th power is
-    N(k) = prod max(0, c_i - k m_i), so N(L-1) - N(L) blocks have size at
-    least L.
+    The rank of the k-th power is N(k) = prod max(0, c_i - k m_i), so
+    N(L-1) - N(L) blocks have size at least L.  N(k) is 0 from the least
+    ceil(c_i / m_i) on, and every factor is positive before it.
     """
-    if isinstance(caps, int):
-        caps = (caps,) * len(m)
     pairs = [(e, c) for e, c in zip(m, caps) if e]
-    ranks = [math.prod(c for _, c in pairs)]
-    while ranks[-1]:
-        k = len(ranks)
-        ranks.append(math.prod(max(0, c - k * e) for e, c in pairs))
-    ranks.append(0)
+    top = min(-(-c // e) for e, c in pairs)
+    ranks = [math.prod(r) for r in zip(*([c - k * e for k in range(top)] for e, c in pairs))]
+    ranks += [0, 0]
     jordan = {}
     for size in range(1, len(ranks) - 1):
         count = ranks[size - 1] - 2 * ranks[size] + ranks[size + 1]
