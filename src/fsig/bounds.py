@@ -9,12 +9,11 @@ index of a torsion divisor class is bounded through its cyclic cover.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .covers import CoverDescriptor, _build_cover, quotient_cover
-from .frobenius import BudgetExceeded, PairDivisor, RingPresentation, fsig_value
+from .covers import CoverDescriptor, _build_cover, _trial_divisors, quotient_cover
+from .frobenius import PairDivisor, RingPresentation, fsig_value
 from .toric import (
     ToricRing,
     TorusQDivisor,
@@ -141,19 +140,13 @@ def etale_cover_search(ring: ToricRing, deadline: float | None = None) -> list[C
     quotient covers by the subgroups; each has degree > 1 and, being
     strictly local, is branched at the vertex, hence never etale
     everywhere.  Above a ring without a quotient presentation the family
-    is empty.  The divisors of the group order come from trial division;
-    ``deadline`` is checked every 4096 candidates, and past it
-    ``BudgetExceeded`` is raised.
+    is empty.  The divisors of the group order come from trial division,
+    which raises ``BudgetExceeded`` past ``deadline`` (``_trial_divisors``).
     """
     if ring.group_order is None or ring.group_weights is None or ring.group_order == 1:
         return []
     n = ring.group_order
-    root = math.isqrt(n)
-    small_divisors = []
-    for start in range(1, root + 1, 4096):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded("time budget exhausted during the cover search", [])
-        small_divisors += [m for m in range(start, min(start + 4096, root + 1)) if n % m == 0]
+    small_divisors = list(_trial_divisors(n, deadline, "the cover search"))
     found = []
     for m in sorted(set(small_divisors + [n // m for m in small_divisors]) - {n}):
         cover = quotient_cover(ring, m)

@@ -77,24 +77,35 @@ def _load_document(args) -> dict:
     return doc
 
 
+def _options(doc: dict, args) -> dict:
+    """The document's options, overridden by the flags the command takes."""
+    options = dict(doc.get("options", {}))
+    flags = {"e_max": getattr(args, "e_max", None), "backend": getattr(args, "backend", None),
+             "time_budget_secs": args.budget}
+    options.update((key, value) for key, value in flags.items() if value is not None)
+    return options
+
+
+def _deadline(options: dict) -> float | None:
+    budget = options.get("time_budget_secs")
+    return None if budget is None else time.monotonic() + budget
+
+
 def _ring_request(doc: dict, args):
     """The ring, the pair and the ``fsig_value`` keywords of a compute/bounds/purity document.
 
     The flags override the document's options; the library applies the
     backend rule.
     """
-    options = dict(doc.get("options", {}))
-    flags = {"e_max": args.e_max, "backend": args.backend, "time_budget_secs": args.budget}
-    options.update((key, value) for key, value in flags.items() if value is not None)
+    options = _options(doc, args)
     if "ring" not in doc:
         raise ValueError(f"{args.command} needs a ring")
     ring = build_ring(doc["ring"])
     delta = build_pair(doc["pair"], ring) if "pair" in doc else None
-    budget = options.get("time_budget_secs")
     request = {
         "backend": options.get("backend", "auto"),
         "e_max": options.get("e_max", 3),
-        "deadline": None if budget is None else time.monotonic() + budget,
+        "deadline": _deadline(options),
     }
     return ring, delta, request
 
@@ -293,7 +304,7 @@ def cmd_chain(doc: dict, args) -> tuple[dict, str, int]:
     ring = build_ring(doc["ring"])
     if not isinstance(ring, ToricRing) or ring.group_order is None:
         raise ValueError("chain simulation needs a quotient ring")
-    chain = chain_simulation(ring)
+    chain = chain_simulation(ring, _deadline(_options(doc, args)))
     report = {
         "ring": doc["ring"],
         "steps": [
@@ -382,6 +393,8 @@ COMMANDS = {
 }
 # The commands that read a ring through _ring_request, and so its options.
 RING_COMMANDS = ("compute", "bounds", "purity")
+# The commands that take --budget: the ring commands and the chain walk.
+BUDGET_COMMANDS = RING_COMMANDS + ("chain",)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in RING_COMMANDS:
             cmd.add_argument("--e-max", dest="e_max", type=int, default=None)
             cmd.add_argument("--backend", choices=["auto", "toric", "sequence"], default=None)
+        if name in BUDGET_COMMANDS:
             cmd.add_argument("--budget", type=float, default=None, help="time budget in seconds")
         cmd.add_argument("--golden", help="directory of regression goldens")
     return parser

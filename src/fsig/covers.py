@@ -11,11 +11,13 @@ GF(p) throughout, so the residue degree of every constructible cover is 1.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from .frobenius import BudgetExceeded
 from .toric import (
     ToricRing,
     TorusQDivisor,
@@ -447,13 +449,29 @@ class ChainReport:
     ok: bool
 
 
-def chain_simulation(ring: ToricRing) -> ChainReport:
+def _trial_divisors(n: int, deadline: float | None, task: str) -> Iterator[int]:
+    """The divisors d <= sqrt(n) of n in increasing order, by trial division.
+
+    ``deadline`` is checked every 4096 candidates, and past it
+    ``BudgetExceeded`` is raised with ``task`` in its message.
+    """
+    root = math.isqrt(n)
+    for start in range(1, root + 1, 4096):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded(f"time budget exhausted during {task}", [])
+        yield from [d for d in range(start, min(start + 4096, root + 1)) if n % d == 0]
+
+
+def chain_simulation(ring: ToricRing, deadline: float | None = None) -> ChainReport:
     """Walk a maximal chain of quotient covers up from a cyclic quotient.
 
     The subgroup lattice of mu_n is the divisor lattice of n; the walk
     divides out the smallest prime factor at each step, ending at the
     regular ring.  Each etale-in-codimension-one step must at least double
     the F-signature, and the number of steps is at most log2(1/s(start)).
+    Each step's trial division checks ``deadline`` before its first
+    candidate (``_trial_divisors``), so the walk stops before a step once
+    the deadline has passed.
     """
     if ring.group_order is None or ring.group_weights is None:
         raise ValueError("chain simulation needs a cyclic quotient presentation")
@@ -462,7 +480,7 @@ def chain_simulation(ring: ToricRing) -> ChainReport:
     lower = ring
     while lower.group_order > 1:
         n = lower.group_order
-        spf = next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
+        spf = next((d for d in _trial_divisors(n, deadline, "the chain walk") if d > 1), n)
         cover = quotient_cover(lower, n // spf)
         steps.append(cover)
         s_values.append(toric_fsig_exact(cover.upper))

@@ -466,7 +466,9 @@ def perturbed_limit_check(
     return PerturbationReport(tuple(gaps), threshold, passed)
 
 
-def hk_length_sequence(ring: RingPresentation, ideal: Ideal, e_max: int) -> list[Fraction]:
+def hk_length_sequence(
+    ring: RingPresentation, ideal: Ideal, e_max: int, deadline: float | None = None
+) -> list[Fraction]:
     """Normalized Hilbert-Kunz lengths lambda(R/I^[q] R)/q^d for e = 1..e_max.
 
     When I is generated by pure variable powers x_i^(a_i), I^[q] is the box
@@ -474,7 +476,9 @@ def hk_length_sequence(ring: RingPresentation, ideal: Ideal, e_max: int) -> list
     hypersurface it is the block count of ``separated_colength`` when f is
     separated, and otherwise prod a_i q less the rank of f on the box
     (``multiplication_rank``).  Any other ideal takes the Groebner route,
-    lambda(P/(I^[q] + (f))).
+    lambda(P/(I^[q] + (f))).  Past ``deadline`` the rank, the Groebner
+    basis and count, and the engine's tensor products raise
+    ``TimeoutError``.
     """
     if ideal.p != ring.p or ideal.nvars != ring.nvars:
         raise ValueError("ideal lives in a different ambient ring")
@@ -489,14 +493,14 @@ def hk_length_sequence(ring: RingPresentation, ideal: Ideal, e_max: int) -> list
             if ring.kind == "regular":
                 length = math.prod(caps)
             else:
-                length = separated_colength(ring.f, caps)
+                length = separated_colength(ring.f, caps, deadline)
                 if length is None:
-                    length = math.prod(caps) - multiplication_rank(ring.f, caps, weights=weights)
+                    length = math.prod(caps) - multiplication_rank(ring.f, caps, weights, deadline)
         else:
             bracket = frobenius_power(ideal, q)
             if ring.kind == "hypersurface":
                 bracket = ideal_sum(bracket, Ideal(ring.p, ring.nvars, [ring.f]))
-            length = quotient_length(bracket)
+            length = quotient_length(bracket, deadline)
             if length == math.inf:
                 raise ValueError("ideal does not have finite colength in the ring")
         out.append(Fraction(int(length), q**ring.d))

@@ -3,8 +3,9 @@
 The basis computation is plain Buchberger with the coprimality and chain
 criteria, followed by minimalization and interreduction, so each ideal
 has a unique reduced basis in the grevlex order, the only order used.
-Scale targets are desk-sized instances; the Frobenius machinery avoids
-materializing large bases.
+Lengths are counted on the lead monomials by the pivot recursion, not
+monomial by monomial.  Scale targets are desk-sized instances; the
+Frobenius machinery avoids materializing large bases.
 """
 
 from __future__ import annotations
@@ -195,56 +196,67 @@ def ideal_sum(left: Ideal, right: Ideal) -> Ideal:
 def quotient_length(ideal: Ideal, deadline: float | None = None) -> int | float:
     """Vector-space dimension of GF(p)[x]/I, or math.inf when infinite.
 
-    Counts standard monomials of the initial ideal; the quotient is
-    finite exactly when each variable has a pure power among the leads.
-    Past ``deadline`` the basis computation (see ``buchberger``) and the
-    count raise ``TimeoutError``.
+    It is the length of the initial ideal, counted from the leads of the
+    reduced basis by ``_count_standard_monomials``.  Past ``deadline``
+    the basis computation (see ``buchberger``) and the count raise
+    ``TimeoutError``.
     """
-    if ideal.nvars == 0:
-        return 0 if any(not g.is_zero() for g in ideal.generators) else 1
     basis = ideal.groebner(deadline)
-    if any(not g.terms for g in basis):
+    return _count_standard_monomials([g.leading_monomial() for g in basis], ideal.nvars, deadline)
+
+
+def _minimal_monomials(monomials: Iterable[Monomial]) -> list[Monomial]:
+    """The minimal generators of the monomial ideal spanned by ``monomials``."""
+    kept: list[Monomial] = []
+    # a proper divisor has lower degree, so it is kept before its multiples
+    for m in sorted(set(monomials), key=sum):
+        if not any(monomial_divides(k, m) for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _count_standard_monomials(leads: Iterable[Monomial], nvars: int, deadline: float | None) -> int | float:
+    """The number of monomials outside the ideal the leads span, or math.inf.
+
+    A unit lead gives 0, and a variable with no pure power among the leads
+    gives math.inf.  Otherwise this is the pivot recursion of Bayer-Stillman
+    and Bigatti on lengths, lambda(S/I) = lambda(S/(I + (x_i^k))) +
+    lambda(S/(I : x_i^k)), with x_i the variable in the most mixed leads
+    (leads in two or more variables) and k the median of its exponents
+    there.  Both branches keep a pure power of every variable and lower
+    the cap of x_i, so the worklist empties; a node whose minimal leads
+    are pure powers x_i^(c_i) is a box of length prod c_i.  ``deadline``
+    is checked once per node.
+    """
+    gens = _minimal_monomials(leads)
+    if (0,) * nvars in gens:
         return 0
-    for g in basis:
-        if g.total_degree() == 0:
-            return 0
-    leads = [g.leading_monomial() for g in basis]
-    nvars = ideal.nvars
-    caps = [None] * nvars
-    for m in leads:
-        support = [i for i, e in enumerate(m) if e]
-        if len(support) == 1:
-            i = support[0]
-            if caps[i] is None or m[i] < caps[i]:
-                caps[i] = m[i]
-    if any(c is None for c in caps):
+    if sum(1 for m in gens if sum(1 for e in m if e) == 1) < nvars:
         return math.inf
-    return _count_standard_monomials(leads, [int(c) for c in caps], deadline)
-
-
-def _count_standard_monomials(leads: list[Monomial], caps: list[int], deadline: float | None) -> int:
-    nvars = len(caps)
-    leads = sorted(leads)
     count = 0
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    while stack:
+    work = [gens]
+    while work:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("time budget exhausted while counting standard monomials")
-        depth, prefix = stack.pop()
-        if depth == nvars:
-            count += 1
+        gens = work.pop()
+        caps = [0] * nvars
+        mixed = []
+        for m in gens:
+            support = [i for i, e in enumerate(m) if e]
+            if len(support) == 1:
+                caps[support[0]] = m[support[0]]
+            else:
+                mixed.append(m)
+        if not mixed:
+            count += math.prod(caps)
             continue
-        for e in range(caps[depth]):
-            candidate = prefix + (e,)
-            # prune when the partial exponent vector is already divisible
-            # by a lead supported on the assigned variables
-            blocked = False
-            for lm in leads:
-                if all(lm[i] <= candidate[i] for i in range(depth + 1)) and all(
-                    lm[i] == 0 for i in range(depth + 1, nvars)
-                ):
-                    blocked = True
-                    break
-            if not blocked:
-                stack.append((depth + 1, candidate))
+        occurs = [sum(1 for m in mixed if m[i]) for i in range(nvars)]
+        i = occurs.index(max(occurs))
+        exps = sorted(m[i] for m in mixed if m[i])
+        k = exps[len(exps) // 2]
+        pivot = tuple(k if j == i else 0 for j in range(nvars))
+        # gens is minimal and holds x_i^(caps[i]) with k < caps[i], so adding
+        # x_i^k only drops the leads it divides
+        work.append([m for m in gens if m[i] < k] + [pivot])
+        work.append(_minimal_monomials(m[:i] + (max(m[i] - k, 0),) + m[i + 1 :] for m in gens))
     return count

@@ -61,15 +61,15 @@ def separated_splitting_number(f: Polynomial, q: int, deadline: float | None = N
     return free * unused
 
 
-def separated_colength(f: Polynomial, caps: tuple[int, ...]) -> int | None:
+def separated_colength(f: Polynomial, caps: tuple[int, ...], deadline: float | None = None) -> int | None:
     """lambda(P/(x_i^(caps_i), f)) when f is separated, otherwise None.
 
     The colength is the number of Jordan blocks of f on the box, so
     ``q^n - separated_colength(f, (q,) * n)`` is the rank of f there.  The
-    caps must be positive; the refusals are those of
+    caps must be positive; the refusals and the ``deadline`` are those of
     ``separated_splitting_number``, with the largest cap in place of q.
     """
-    walk = _last_types(f, caps, None)
+    walk = _last_types(f, caps, deadline)
     if walk is None:
         return None
     types, unused = walk

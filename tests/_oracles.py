@@ -257,3 +257,29 @@ def is_f_pure(ring: RingPresentation) -> bool:
 def is_effective(divisor: TorusQDivisor) -> bool:
     """Every facet coefficient is nonnegative."""
     return all(c >= 0 for c in divisor.coefficients)
+
+
+def brute_standard_monomial_count(leads, caps: tuple[int, ...]) -> int:
+    """The exponent vectors below ``caps`` divisible by no lead, one prefix at a time.
+
+    A prefix is dropped as soon as a lead supported on its variables
+    divides it; the leads must include a power x_i^c_i with c_i <= caps[i]
+    for each variable, so nothing at or past a cap is missed.
+    """
+    nvars = len(caps)
+    count = 0
+    stack = [(0, ())]
+    while stack:
+        depth, prefix = stack.pop()
+        if depth == nvars:
+            count += 1
+            continue
+        for e in range(caps[depth]):
+            candidate = prefix + (e,)
+            if not any(
+                all(lm[i] <= candidate[i] for i in range(depth + 1))
+                and all(lm[i] == 0 for i in range(depth + 1, nvars))
+                for lm in leads
+            ):
+                stack.append((depth + 1, candidate))
+    return count

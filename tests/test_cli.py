@@ -146,6 +146,22 @@ def test_purity_budget_bounds_the_cover_search(tmp_path, capsys):
     assert "during the cover search" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options, flags", [
+    ({"time_budget_secs": 1000}, ["--budget", "0.05"]),  # the flag overrides the document
+    ({"time_budget_secs": 0.05}, []),
+])
+def test_chain_budget_bounds_the_trial_division(tmp_path, capsys, options, flags):
+    # n is prime, so its smallest prime factor is found at the end of a
+    # trial division to about 10^7, which takes about a second unchecked.
+    doc = {"ring": {"type": "quotient", "n": 100000000000031, "weights": [1, 1], "p": 3},
+           "options": options}
+    started = time.monotonic()
+    code, _ = run(tmp_path, "chain", doc, *flags)
+    assert code == 3
+    assert "budget exhausted: time budget exhausted during the chain walk" in capsys.readouterr().err
+    assert time.monotonic() - started < 0.5
+
+
 def test_compute_schema_error(tmp_path):
     code, _ = run(tmp_path, "compute", {"ring": {"type": "regular", "p": 4, "nvars": 2}})
     assert code == 2
@@ -401,10 +417,13 @@ def test_toric_backend_rejects_presentation(tmp_path, command):
 
 @pytest.mark.parametrize("command", ["verify", "chain"])
 def test_sequence_flags_refused_where_unread(tmp_path, command):
+    # verify reads none of the three flags; chain reads only --budget
     spec = write_spec(tmp_path, "spec.json", A1_COVER if command == "verify" else QUOTIENT_13)
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--spec", spec, "--budget", "5"])
-    assert exc.value.code == 2
+    flags = [["--e-max", "2"], ["--backend", "toric"]] + ([["--budget", "5"]] if command == "verify" else [])
+    for flag in flags:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--spec", spec, *flag])
+        assert exc.value.code == 2, flag
 
 
 def test_purity_cross_check_survives_optimize(tmp_path):

@@ -1,9 +1,11 @@
 """Finite covers: transitions, traces, ramification, and the chain walk."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from fsig import covers
 from fsig.bounds import etale_cover_search, pi1_order_bound
 from fsig.covers import (
     CoverConstructionError,
@@ -21,6 +23,7 @@ from fsig.covers import (
     verify_note_trace,
     verify_transformation,
 )
+from fsig.frobenius import BudgetExceeded
 from fsig.toric import (
     ToricRing,
     TorusQDivisor,
@@ -254,6 +257,24 @@ def test_chain_simulation_prime_order():
     assert chain.ok
     assert len(chain.steps) == 1
     assert chain.s_values == (Fraction(1, 5), Fraction(1))
+
+
+def test_chain_simulation_checks_deadline_before_each_step(monkeypatch):
+    # The clock passes the deadline once the first cover is built, so only
+    # the check before the second step can stop the walk of 1/8(1,7).
+    clock = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+    built = []
+
+    def cover_then_expire(*args):
+        built.append(args)
+        clock[0] = 2.0
+        return quotient_cover(*args)
+
+    monkeypatch.setattr(covers, "quotient_cover", cover_then_expire)
+    with pytest.raises(BudgetExceeded, match="during the chain walk"):
+        chain_simulation(quotient_singularity(8, (1, 7), 3), deadline=1.0)
+    assert len(built) == 1
 
 
 def test_chain_requires_group_data():

@@ -253,6 +253,20 @@ def test_hilbert_kunz_lengths_at_rank_deficient_linear_forms():
     assert hk_length_sequence(a1_surface(), ideal, 2) == [2, 2]
 
 
+@pytest.mark.parametrize("f, nvars, gens", [
+    ("x*y - z^2", 3, ("x + y", "y - z", "z")),
+    ("x*y + y*z + z*x", 3, None),
+    ("x0^2 + x1^2 + x2^2 + x3^2", 4, None),
+], ids=["Groebner", "rank", "separated"])
+def test_hilbert_kunz_lengths_stop_past_deadline(f, nvars, gens):
+    names = ("x", "y", "z") if nvars == 3 else None
+    ring = RingPresentation.hypersurface(parse_polynomial(f, 3, nvars, names=names), names=names)
+    ideal = ring.maximal_ideal() if gens is None else linear_ideal(*gens)
+    with pytest.raises(TimeoutError, match="time budget exhausted"):
+        hk_length_sequence(ring, ideal, 1, deadline=time.monotonic() - 1)
+    assert hk_length_sequence(ring, ideal, 1, deadline=time.monotonic() + 60)[0] > 0
+
+
 def test_sfr_witness_immediate_for_f_pure():
     ring = a1_surface()
     c = parse_polynomial("z", 3, 3, names=("x", "y", "z"))

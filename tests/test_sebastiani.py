@@ -82,7 +82,7 @@ def random_separated(rng, p, nvars, nterms):
 def rank_route_hk(monkeypatch, ring, ideal, e_max):
     """hk_length_sequence with the engine declining, so the box goes through the rank."""
     with monkeypatch.context() as patch:
-        patch.setattr(frobenius, "separated_colength", lambda f, caps: None)
+        patch.setattr(frobenius, "separated_colength", lambda f, caps, deadline=None: None)
         return hk_length_sequence(ring, ideal, e_max)
 
 
