@@ -22,7 +22,6 @@ import jsonschema
 
 from .bounds import BoundReport, index_bound, pi1_order_bound, purity_check, veronese_bound
 from .covers import (
-    CoverConstructionError,
     NonEffectivePairError,
     VerificationFailure,
     chain_simulation,
@@ -34,7 +33,6 @@ from .covers import (
     verify_transformation,
 )
 from .frobenius import BudgetExceeded, fsig_value
-from .poly import ParseError
 from .serialize import (
     along_index,
     build_pair,
@@ -46,7 +44,7 @@ from .serialize import (
     strip_timing,
     validate_document,
 )
-from .toric import SimplicialityError, ToricRing, TorusQDivisor, quotient_singularity
+from .toric import ToricRing, TorusQDivisor, quotient_singularity
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -432,15 +430,7 @@ def main(argv=None) -> int:
     except (NonEffectivePairError, VerificationFailure) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
-    except (
-        json.JSONDecodeError,
-        jsonschema.ValidationError,
-        ParseError,
-        SimplicialityError,
-        CoverConstructionError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (jsonschema.ValidationError, ValueError, OSError) as exc:
         message = getattr(exc, "message", None) or str(exc)
         print(f"input error: {message.splitlines()[0]}", file=sys.stderr)
         return 2

@@ -62,7 +62,6 @@ class RingPresentation:
     nvars: int
     f: Polynomial | None = None
     names: tuple[str, ...] | None = None
-    alpha: int = 0
 
     def __post_init__(self):
         if self.kind not in ("regular", "hypersurface"):
@@ -76,8 +75,6 @@ class RingPresentation:
                 raise ValueError("f lives in a different ambient ring")
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
-        if self.alpha != 0:
-            raise ValueError("only perfect residue fields (alpha = 0) are supported")
 
     @classmethod
     def regular(cls, p: int, nvars: int, names: Sequence[str] | None = None) -> RingPresentation:
@@ -247,8 +244,6 @@ class SplittingSequence:
     from the lattice backend where one exists.
     """
 
-    ring: RingPresentation | ToricRing
-    delta: PairDivisor | TorusQDivisor | None
     records: list[SplittingRecord]
     last: Fraction
     extrapolated: Fraction | None
@@ -314,9 +309,7 @@ def fsig_sequence(
                 raise BudgetExceeded(f"time budget exhausted during e = {e}", records) from None
         records.append(SplittingRecord(e, q, a_e, Fraction(a_e, q**ring.d)))
     extrapolated, consistent, monotone = sequence_diagnostics(records)
-    sequence = SplittingSequence(
-        ring, delta, records, records[-1].normalized, extrapolated, consistent, monotone
-    )
+    sequence = SplittingSequence(records, records[-1].normalized, extrapolated, consistent, monotone)
     if toric:
         sequence.note = "window counts; " + sequence.note
     return sequence
@@ -411,11 +404,21 @@ def ctrick_gap_sequence(
     if c.is_zero():
         raise ValueError("c must be nonzero")
     _check_nonzero_in_ring(ring, c)
+    return _gap_sequence(ring, None, c, e_max)
+
+
+def _gap_sequence(
+    ring: RingPresentation, delta: PairDivisor | None, extra: Polynomial, e_max: int
+) -> list[Fraction]:
+    """(lambda(P/(m^[q] : g)) - lambda(P/(m^[q] : g*extra)))/q^d for e = 1..e_max.
+
+    g is the twist of ``delta``; ``extra`` must be nonzero.
+    """
     gaps = []
     for e in range(1, e_max + 1):
-        q, g, factors = _twist(ring, None, e)
+        q, g, factors = _twist(ring, delta, e)
         base = _colon_length(ring, g, q, factors)
-        shifted = _colon_length(ring, g * c, q, factors + (c,))
+        shifted = _colon_length(ring, g * extra, q, factors + (extra,))
         gaps.append(Fraction(base - shifted, q**ring.d))
     return gaps
 
@@ -438,13 +441,12 @@ def perturbed_limit_check(
     delta: PairDivisor | None,
     extra: PairDivisor,
     e_max: int,
-    threshold: Fraction | None = None,
 ) -> PerturbationReport:
     """Gap between the sequence and its fixed-divisor perturbation.
 
     The extra divisor must have integer coefficients; its twist factor
     prod h_j^(t_j) is held fixed across e, so the normalized gap must
-    sink below the threshold (default 2/q at e_max).
+    sink below the threshold 2/q at e_max.
     """
     fixed = Polynomial.one(ring.p, ring.nvars)
     for h, t in extra.components:
@@ -453,15 +455,8 @@ def perturbed_limit_check(
         if t < 0:
             raise ValueError("perturbation coefficients must be nonnegative")
         fixed = fixed * h ** int(t)
-    gaps = []
-    for e in range(1, e_max + 1):
-        q, g, factors = _twist(ring, delta, e)
-        base = _colon_length(ring, g, q, factors)
-        pert = _colon_length(ring, g * fixed, q, factors + (fixed,))
-        gaps.append(Fraction(base - pert, q**ring.d))
-    q_last = ring.p**e_max
-    if threshold is None:
-        threshold = Fraction(2, q_last)
+    gaps = _gap_sequence(ring, delta, fixed, e_max)
+    threshold = Fraction(2, ring.p**e_max)
     passed = all(gap >= 0 for gap in gaps) and gaps[-1] <= threshold
     return PerturbationReport(tuple(gaps), threshold, passed)
 

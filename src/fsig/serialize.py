@@ -239,17 +239,13 @@ def build_pair(doc: dict, ring) -> TorusQDivisor | PairDivisor:
     return PairDivisor.of(components, convention)
 
 
-def along_index(along, nvars: int, names=None) -> int:
+def along_index(along, nvars: int) -> int:
     if isinstance(along, int):
         idx = along
+    elif along.startswith("x") and along[1:].isdigit():
+        idx = int(along[1:])
     else:
-        declared = list(names) if names else [f"x{i}" for i in range(nvars)]
-        if along in declared:
-            idx = declared.index(along)
-        elif along.startswith("x") and along[1:].isdigit():
-            idx = int(along[1:])
-        else:
-            raise ValueError(f"unknown coordinate {along!r}")
+        raise ValueError(f"unknown coordinate {along!r}")
     if not (0 <= idx < nvars):
         raise ValueError(f"coordinate index {idx} out of range for {nvars} variables")
     return idx

@@ -2,12 +2,14 @@
 
 A ring is presented by the primitive facet normals of its semigroup
 inside the intrinsic lattice Z^d, together with an embedding matrix
-mapping intrinsic coordinates to ambient monomial exponents.  Splitting
-numbers are certified class by class: a residue class of M/qM is free
-exactly when it contains a lattice point pairing into [0, q-1] with every
-facet normal, and such a window point is provably the unique minimal
-element of its class.  The F-signature is the exact rational volume of
-the limiting window polytope.
+mapping intrinsic coordinates to ambient monomial exponents.  A residue
+class of M/qM is free exactly when it contains a lattice point pairing
+into [0, q-1] with every facet normal, and such a window point is
+provably the unique minimal element of its class.  The class audit finds
+the minimal elements of every class in one enumeration of a box whose
+bound, q*D_F - 1 on facet F, is proved in toric_splitting_certificates.
+The F-signature is the exact rational volume of the limiting window
+polytope.
 """
 
 from __future__ import annotations
@@ -152,15 +154,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def solve_pairing(v: Sequence[int], target: int) -> Vector:
-    """An integer z with <v, z> = target; v must be nonzero."""
-    g, cols = row_reduction_transform(v)
-    if target % g:
-        raise ValueError(f"{target} is not a multiple of gcd {g}")
-    k = target // g
-    return tuple(k * x for x in cols[0])
-
-
 def row_lattice_basis(gens: Sequence[Sequence[int]]) -> list[Vector]:
     """Echelon basis of the lattice spanned by the given integer rows."""
     ncols = len(gens[0])
@@ -238,10 +231,6 @@ class TorusQDivisor:
     def __sub__(self, other: TorusQDivisor) -> TorusQDivisor:
         self._match(other)
         return TorusQDivisor(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def scale(self, s) -> TorusQDivisor:
-        s = Fraction(s)
-        return TorusQDivisor(tuple(s * c for c in self.coefficients))
 
     def _match(self, other: TorusQDivisor) -> None:
         if len(self.coefficients) != len(other.coefficients):
@@ -353,26 +342,6 @@ class ToricRing:
         """
         sign = 1 if self._det > 0 else -1
         return [primitive_vector([sign * x for x in col]) for col in zip(*self._adj)]
-
-    def descent_vector(self, facet: int) -> Vector:
-        """m with <v_facet, m> = -1 and <v_G, m> >= 0 for the other facets."""
-        z = solve_pairing(self.normals[facet], -1)
-        rays = self.extreme_rays()
-        u_f = [sum(r[i] for j, r in enumerate(rays) if j != facet) for i in range(self.d)]
-        n_shift = 0
-        for g_idx in range(self.d):
-            if g_idx == facet:
-                continue
-            num = -sum(self.normals[g_idx][i] * z[i] for i in range(self.d))
-            den = sum(self.normals[g_idx][i] * u_f[i] for i in range(self.d))
-            _require(den > 0, f"facet {g_idx} does not pair positively with the rays off facet {facet}")
-            if num > 0:
-                n_shift = max(n_shift, -(-num // den))
-        m = tuple(z[i] + n_shift * u_f[i] for i in range(self.d))
-        pairing = self.pairing(m)
-        _require(pairing[facet] == -1 and all(x >= 0 for i, x in enumerate(pairing) if i != facet),
-                 f"descent vector {m} for facet {facet} has pairing {pairing}")
-        return m
 
     # -- Hilbert basis --
 
@@ -495,9 +464,14 @@ def quotient_singularity(n: int, weights: Sequence[int], p: int) -> ToricRing:
 class FreeClassCertificate:
     """Per-residue-class evidence for the Frobenius pushforward decomposition.
 
-    A window witness w pairs into [0, q-1-c_F] with every facet normal and
-    is then the unique minimal element of its class, so the class summand
-    is free; an obstruction is a pair of incomparable minimal elements.
+    A window witness w pairs into [0, q-1] with every facet normal and is
+    then the unique minimal element of its class, so the class summand is
+    free; ``counted`` says whether w also lies in the pair's window
+    [0, q-1-floor(q*t_F)].  An obstruction is the two least minimal
+    elements, in tuple order, of a class with no window point.
+    ``region_bound`` gives the facet pairing caps of the enumerated box:
+    q-1 for a witness, q*D_F - 1 for an obstruction, where D_F is the
+    least t > 0 with t*e_F a pairing vector.
     """
 
     q: int
@@ -553,8 +527,15 @@ def toric_splitting_certificates(
 ) -> list[FreeClassCertificate]:
     """Certificates for the free classes; optionally audit every class.
 
-    With include_obstructions, all q^d residue classes are visited and
-    each non-free class receives a pair of incomparable minimal elements.
+    With include_obstructions, all q^d residue classes (at most 200,000)
+    are audited from one enumeration of the box 0 <= <v_F, c> <= q*D_F - 1:
+    its points are grouped by residue mod q, and each class without a
+    window point receives its two least minimal elements, which must be
+    incomparable.  The box is large enough: if <v_F, c> >= q*D_F, then
+    c - q*u with <v_F, u> = D_F and <v_G, u> = 0 for G != F is a smaller
+    member of the class in the cone.  So every minimal element lies in
+    the box, and a point is minimal in its class exactly when it is
+    minimal among the class's points in the box.
     """
     q = ring.p**e
     widths = _window_widths(ring, delta, q)
@@ -579,12 +560,25 @@ def toric_splitting_certificates(
     if include_obstructions:
         if q**ring.d > 200_000:
             raise ValueError("class audit too large; lower e")
+        # D_F = index / gcd(index, column F of adj) is the least t > 0 with
+        # t * e_F a pairing vector, so every minimal element lies in the box.
+        bound = tuple(q * (ring.index // math.gcd(ring.index, *col)) - 1 for col in zip(*ring._adj))
+        points = ring._lattice_points(bound, 5_000_000, "class audit too large; lower e")
+        classes: dict[Vector, list[Vector]] = {}
+        for c in map(tuple, points.T.tolist()):
+            classes.setdefault(tuple(x % q for x in c), []).append(c)
         shape = (q,) * ring.d
         for flat in range(q**ring.d):
             residue = tuple(int(x) for x in np.unravel_index(flat, shape))
             if residue in certs:
                 continue
-            m1, m2, bound = _obstruction_pair(ring, residue, q)
+            minimals = sorted(_minimal_elements(ring, classes.get(residue, [])))
+            _require(len(minimals) >= 2,
+                     f"residue class {residue} has no window point but {len(minimals)} minimal element(s)")
+            m1, m2 = minimals[:2]
+            pair1, pair2 = ring.pairing(m1), ring.pairing(m2)
+            _require(any(a < b for a, b in zip(pair1, pair2)) and any(a > b for a, b in zip(pair1, pair2)),
+                     f"obstruction pair {m1}, {m2} of residue class {residue} is comparable")
             out.append(
                 FreeClassCertificate(
                     q=q,
@@ -600,14 +594,6 @@ def toric_splitting_certificates(
     return out
 
 
-def _class_points_below(ring: ToricRing, residue: Vector, q: int, caps: Sequence[int]) -> list[Vector]:
-    """Class members v = residue mod q with 0 <= <v_F, v> <= caps[F]."""
-    cs = ring._lattice_points(caps, 5_000_000, "lower set too large to enumerate")
-    res = np.asarray(residue, dtype=np.int64)
-    match = np.all((cs - res[:, None]) % q == 0, axis=0)
-    return [tuple(c) for c in cs[:, match].T.tolist()]
-
-
 def _minimal_elements(ring: ToricRing, points: list[Vector]) -> list[Vector]:
     pairs = {v: ring.pairing(v) for v in points}
     minimal = []
@@ -619,38 +605,6 @@ def _minimal_elements(ring: ToricRing, points: list[Vector]) -> list[Vector]:
         if not dominated:
             minimal.append(v)
     return minimal
-
-
-def _obstruction_pair(ring: ToricRing, residue: Vector, q: int) -> tuple[Vector, Vector, tuple[int, ...]]:
-    """Two incomparable minimal elements of a non-free residue class."""
-    rays = ring.extreme_rays()
-    rho = tuple(sum(r[i] for r in rays) for i in range(ring.d))
-    rho_pair = ring.pairing(rho)
-    _require(all(x > 0 for x in rho_pair), "the sum of the extreme rays is not interior")
-    k = 0
-    v0 = residue
-    while not all(x >= 0 for x in ring.pairing(v0)):
-        k += 1
-        v0 = tuple(residue[i] + q * k * rho[i] for i in range(ring.d))
-    caps = ring.pairing(v0)
-    points = _class_points_below(ring, residue, q, caps)
-    minimals = _minimal_elements(ring, points)
-    _require(bool(minimals), f"residue class {residue} has no minimal element below {caps}")
-    m1 = min(minimals)
-    p1 = ring.pairing(m1)
-    facet = next(i for i, x in enumerate(p1) if x >= q)
-    shift = ring.descent_vector(facet)
-    z = tuple(m1[i] + q * shift[i] for i in range(ring.d))
-    caps2 = ring.pairing(z)
-    _require(all(x >= 0 for x in caps2), "the descended class member leaves the cone")
-    points2 = _class_points_below(ring, residue, q, caps2)
-    minimals2 = _minimal_elements(ring, points2)
-    m2 = next(m for m in minimals2 if m != m1)
-    pair1, pair2 = ring.pairing(m1), ring.pairing(m2)
-    _require(any(a < b for a, b in zip(pair1, pair2)) and any(a > b for a, b in zip(pair1, pair2)),
-             f"obstruction pair {m1}, {m2} of residue class {residue} is comparable")
-    bound = tuple(max(a, b) for a, b in zip(caps, caps2))
-    return m1, m2, bound
 
 
 def toric_fsig_exact(ring: ToricRing, delta: TorusQDivisor | None = None) -> Fraction:

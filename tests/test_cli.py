@@ -460,6 +460,43 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def _referenced_names(tree) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_src_definition_is_referenced():
+    # A module-level def or class is dead unless another module of the
+    # package (the re-exports in __init__ aside), a test, a demo, the
+    # benchmark, or another statement of its own module names it.
+    root = Path(__file__).resolve().parent.parent
+    modules = {path.name: ast.parse(path.read_text())
+               for path in sorted(Path(fsig.__file__).parent.glob("*.py"))
+               if path.name != "__init__.py"}
+    assert modules
+    outside = {name: _referenced_names(tree) for name, tree in modules.items()}
+    for folder in ("tests", "demos", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            outside[str(path)] = _referenced_names(ast.parse(path.read_text()))
+    unreferenced = []
+    for name, tree in modules.items():
+        elsewhere = set().union(*(refs for other, refs in outside.items() if other != name))
+        statements = [_referenced_names(node) for node in tree.body]
+        for i, node in enumerate(tree.body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in elsewhere.union(*statements[:i], *statements[i + 1 :]):
+                unreferenced.append(f"{name}:{node.name}")
+    assert unreferenced == []
+
+
 @pytest.mark.parametrize("command", ["bounds", "purity"])
 def test_bounds_and_purity_judge_the_same_estimate(tmp_path, command):
     # The last value 1/4 lies below the extrapolation 1/2; both commands

@@ -149,7 +149,6 @@ def test_build_pair_wrong_backend_combination():
 def test_along_index_forms():
     assert along_index(1, 3) == 1
     assert along_index("x2", 3) == 2
-    assert along_index("y", 3, names=("x", "y", "z")) == 1
     with pytest.raises(ValueError):
         along_index(5, 3)
     with pytest.raises(ValueError):

@@ -272,6 +272,78 @@ def test_certificate_count_matches_number():
     assert sum(1 for c in certs if c.counted) == toric_splitting_number(ring, None, 1)
 
 
+AUDIT_QUOTIENTS = [
+    (n, (a, b), p)
+    for p in (2, 3, 5, 7)
+    for n in range(2, 9)
+    if n % p
+    for a in range(1, n)
+    for b in range(a, n)
+    if math.gcd(n, a, b) == 1
+] + [(7, (1, 2, 4), 3), (3, (1, 1, 1), 5), (5, (1, 2, 3), 2)]
+
+
+def _audit_box(ring, q):
+    """Pairing caps q*D_F - 1, D_F the least t > 0 with t*e_F a pairing vector."""
+    return [q * (ring.index // math.gcd(ring.index, *col)) - 1 for col in zip(*ring._adj)]
+
+
+def _class_minima(ring, q, caps):
+    """Residue -> sorted minimal elements of its points in the box, by pairwise comparison."""
+    classes = {}
+    for c in map(tuple, ring._lattice_points(caps, 10**7, "box too large").T.tolist()):
+        classes.setdefault(tuple(x % q for x in c), []).append(c)
+    minima = {}
+    for residue, points in classes.items():
+        pairs = {c: ring.pairing(c) for c in points}
+        minima[residue] = sorted(
+            c for c in points
+            if not any(b != c and all(x <= y for x, y in zip(pairs[b], pairs[c])) for b in points)
+        )
+    return minima
+
+
+def _checked_audit(ring, e):
+    """The class audit, after checking every class, witness and obstruction pair."""
+    q = ring.p**e
+    certs = toric_splitting_certificates(ring, None, e, include_obstructions=True)
+    assert sorted(c.residue for c in certs) == list(itertools.product(range(q), repeat=ring.d))
+    for cert in certs:
+        members = [cert.witness] if cert.free else list(cert.obstruction)
+        for m in members:
+            assert tuple(x % q for x in m) == cert.residue
+            assert all(y >= 0 for y in ring.pairing(m))
+        if cert.free:
+            assert all(y <= q - 1 for y in ring.pairing(cert.witness))
+        else:
+            p1, p2 = map(ring.pairing, cert.obstruction)
+            assert any(a < b for a, b in zip(p1, p2)) and any(a > b for a, b in zip(p1, p2))
+            assert list(cert.region_bound) == _audit_box(ring, q)
+    return certs
+
+
+@pytest.mark.parametrize("n, weights, p", AUDIT_QUOTIENTS,
+                         ids=[f"1/{n}({','.join(map(str, w))})-p{p}" for n, w, p in AUDIT_QUOTIENTS])
+def test_class_audit_box_holds_every_minimal_element(n, weights, p):
+    ring = quotient_singularity(n, weights, p)
+    certs = _checked_audit(ring, 1)
+    box = _audit_box(ring, p)
+    minima = _class_minima(ring, p, box)
+    assert _class_minima(ring, p, [2 * b + 1 for b in box]) == minima
+    for cert in certs:
+        if cert.free:
+            assert minima[cert.residue] == [cert.witness]
+        else:
+            assert minima[cert.residue][:2] == list(cert.obstruction)
+
+
+def test_class_audit_at_e2():
+    ring = quotient_singularity(7, (1, 2, 4), 3)
+    certs = _checked_audit(ring, 2)
+    assert len(certs) == 729
+    assert sum(c.free for c in certs) == 105
+
+
 # -- divisors -------------------------------------------------------------------
 
 
