@@ -6,7 +6,8 @@ number is a_e = lambda(P/(m^[q] : g)) for the twist
 g = f^(q-1) * prod g_j^(r_j), which is the rank of multiplication by g
 on P/m^[q]; that rank is how a_e is computed, except for a separated f
 with no pair, whose a_e comes from Jordan types (fsig.sebastiani)
-without building g.  The Groebner route
+without building g, and for a quadratic form at odd p, which that
+engine diagonalises first.  The Groebner route
 (``method="colon"``) cross-checks it without linear algebra: the exact
 sequence 0 -> P/(m^[q] : g) -> P/m^[q] -> P/(m^[q], g) -> 0 gives
 a_e = q^n - lambda(P/(m^[q], g)).  fsig_sequence also takes a toric
@@ -186,9 +187,11 @@ def splitting_number(
 
     ``method="auto"`` takes a_e of a hypersurface with no pair whose f is
     separated (terms in pairwise disjoint variables) from
-    ``fsig.sebastiani``, and otherwise the rank of g on P/m^[q].
-    ``method="colon"`` computes q^n - lambda(P/(m^[q], g)) from a grevlex
-    basis.  Every route stops with ``TimeoutError`` past ``deadline``.
+    ``fsig.sebastiani``, which also takes a quadratic form at odd p after
+    diagonalising it by a linear change of variables, and otherwise the
+    rank of g on P/m^[q].  ``method="colon"`` computes
+    q^n - lambda(P/(m^[q], g)) from a grevlex basis.  Every route stops
+    with ``TimeoutError`` past ``deadline``.
     """
     if method not in ("auto", "colon"):
         raise ValueError(f"unknown method {method!r}")
@@ -412,12 +415,13 @@ def _gap_sequence(
 ) -> list[Fraction]:
     """(lambda(P/(m^[q] : g)) - lambda(P/(m^[q] : g*extra)))/q^d for e = 1..e_max.
 
-    g is the twist of ``delta``; ``extra`` must be nonzero.
+    g is the twist of ``delta``; ``extra`` must be nonzero.  The first
+    length is a_e from ``splitting_number``, the second the rank of g*extra.
     """
     gaps = []
     for e in range(1, e_max + 1):
+        base = splitting_number(ring, delta, e)
         q, g, factors = _twist(ring, delta, e)
-        base = _colon_length(ring, g, q, factors)
         shifted = _colon_length(ring, g * extra, q, factors + (extra,))
         gaps.append(Fraction(base - shifted, q**ring.d))
     return gaps
@@ -469,7 +473,8 @@ def hk_length_sequence(
     When I is generated by pure variable powers x_i^(a_i), I^[q] is the box
     (x_i^(a_i q)) and the length of a regular ring is prod a_i q.  On a
     hypersurface it is the block count of ``separated_colength`` when f is
-    separated, and otherwise prod a_i q less the rank of f on the box
+    separated, or a quadratic form at odd p with every a_i q the same power
+    of p, and otherwise prod a_i q less the rank of f on the box
     (``multiplication_rank``).  Any other ideal takes the Groebner route,
     lambda(P/(I^[q] + (f))).  Past ``deadline`` the rank, the Groebner
     basis and count, and the engine's tensor products raise

@@ -17,6 +17,13 @@ Hilbert-Kunz functions", Math. Z. 1993):
 Each variable f does not involve contributes a factor k[z]/(z^c) with
 T = 0, so c blocks of size 1, and multiplies both numbers by its cap.
 
+A quadratic form that is not separated, such as x*y + y*z + z*x, is
+diagonalised first (``diagonal_form``) when p is odd and every cap is the
+same power q of p.  Over GF(p), (sum_j a_ij x_j)^q = sum_j a_ij x_j^q, so
+x -> A x with A in GL_n(GF(p)) maps m^[q] onto itself and conjugates f on
+P/m^[q] to f(A x): neither number changes.  Unequal caps, or caps that
+are not powers of p, are not invariant under GL_n, and stay declined.
+
 A Jordan type is a dict {block size: multiplicity}.  The types of the
 terms are closed forms; two types multiply through the table of
 ``block_product``, and the last two are read only through their free
@@ -84,14 +91,17 @@ def _last_types(
 
     Balanced pairwise tensor products reduce the terms' types to at most
     two; the second value is the product of the caps of the variables f
-    does not use.  None when f is not separated.
+    does not use.  A quadratic form that is not separated is replaced by
+    ``diagonal_form(f)`` when p is odd and every cap is the same power of
+    p (see the module docstring).  None when f is not separated and that
+    does not apply.
     """
-    used: set[int] = set()
-    for m in f.terms:
-        support = {i for i, e in enumerate(m) if e}
-        if not support or support & used:
-            return None
-        used |= support
+    used = _separated_support(f)
+    if used is None and f.p % 2 and all(sum(m) == 2 for m in f.terms) and _same_power(caps, f.p):
+        f = diagonal_form(f)
+        used = _separated_support(f)
+    if used is None:
+        return None
     if max(caps) > _MAX_Q:
         raise ValueError(
             f"exponent cap {max(caps)} is too large for the separated engine"
@@ -104,6 +114,58 @@ def _last_types(
         types = [table.tensor(*types[i : i + 2]) if i + 1 < len(types) else types[i]
                  for i in range(0, len(types), 2)]
     return types, math.prod(c for i, c in enumerate(caps) if i not in used)
+
+
+def _separated_support(f: Polynomial) -> set[int] | None:
+    """The variables f uses when its terms' supports are nonempty and disjoint, else None."""
+    supports = [{i for i, e in enumerate(m) if e} for m in f.terms]
+    used = set().union(*supports)
+    return used if all(supports) and sum(map(len, supports)) == len(used) else None
+
+
+def _same_power(caps: tuple[int, ...], p: int) -> bool:
+    """Whether every cap is the same power of p."""
+    q = 1
+    while q < caps[0]:
+        q *= p
+    return all(c == q for c in caps)
+
+
+def diagonal_form(f: Polynomial) -> Polynomial:
+    """f(A x) = sum_k d_k x_k^2 with A in GL_n(GF(p)), for a quadratic form f and p odd.
+
+    Symmetric elimination on the matrix B of f (B_ii the coefficient of
+    x_i^2, B_ij = B_ji half that of x_i x_j).  A nonzero B_kk is a pivot:
+    x_k -> x_k - sum_i (B_ki / B_kk) x_i leaves d_k = B_kk on x_k^2 and the
+    Schur complement on the other variables.  When no diagonal entry is
+    left but some B_ij is nonzero, x_i -> x_i + x_j makes the new B_jj =
+    2 B_ij a pivot.  A form of rank r keeps r terms.
+    """
+    p, n = f.p, f.nvars
+    b = [[0] * n for _ in range(n)]
+    for m, c in f.terms.items():
+        i, j = (k for k, e in enumerate(m) for _ in range(e))
+        b[i][j] = b[j][i] = c if i == j else c * (p + 1) // 2 % p
+    rest = list(range(n))
+    diagonal = {}
+    while True:
+        k = next((k for k in rest if b[k][k]), None)
+        if k is None:
+            pair = next(((i, j) for i in rest for j in rest if b[i][j]), None)
+            if pair is None:
+                break
+            i, k = pair
+            for t in rest:  # x_i -> x_i + x_k: column k += column i, then row k += row i
+                b[t][k] = (b[t][k] + b[t][i]) % p
+            for t in rest:
+                b[k][t] = (b[k][t] + b[i][t]) % p
+        rest.remove(k)
+        diagonal[k] = b[k][k]
+        inverse = pow(b[k][k], p - 2, p)
+        for i in rest:
+            for j in rest:
+                b[i][j] = (b[i][j] - b[i][k] * b[k][j] * inverse) % p
+    return Polynomial(p, n, {tuple(2 * (i == k) for i in range(n)): d for k, d in diagonal.items()})
 
 
 def monomial_type(m: tuple[int, ...], caps: tuple[int, ...]) -> dict[int, int]:

@@ -564,15 +564,16 @@ def toric_splitting_certificates(
         # t * e_F a pairing vector, so every minimal element lies in the box.
         bound = tuple(q * (ring.index // math.gcd(ring.index, *col)) - 1 for col in zip(*ring._adj))
         points = ring._lattice_points(bound, 5_000_000, "class audit too large; lower e")
-        classes: dict[Vector, list[Vector]] = {}
-        for c in map(tuple, points.T.tolist()):
-            classes.setdefault(tuple(x % q for x in c), []).append(c)
+        pairings = np.asarray(ring.normals, dtype=np.int64) @ points
+        classes: dict[Vector, list[tuple[Vector, Vector]]] = {}
+        for c, y, r in zip(*(map(tuple, a.T.tolist()) for a in (points, pairings, points % q))):
+            classes.setdefault(r, []).append((c, y))
         shape = (q,) * ring.d
         for flat in range(q**ring.d):
             residue = tuple(int(x) for x in np.unravel_index(flat, shape))
             if residue in certs:
                 continue
-            minimals = sorted(_minimal_elements(ring, classes.get(residue, [])))
+            minimals = sorted(_minimal_elements(classes.get(residue, [])))
             _require(len(minimals) >= 2,
                      f"residue class {residue} has no window point but {len(minimals)} minimal element(s)")
             m1, m2 = minimals[:2]
@@ -594,17 +595,19 @@ def toric_splitting_certificates(
     return out
 
 
-def _minimal_elements(ring: ToricRing, points: list[Vector]) -> list[Vector]:
-    pairs = {v: ring.pairing(v) for v in points}
-    minimal = []
-    for v in points:
-        pv = pairs[v]
-        dominated = any(
-            w != v and all(a <= b for a, b in zip(pairs[w], pv)) for w in points
-        )
-        if not dominated:
-            minimal.append(v)
-    return minimal
+def _minimal_elements(members: list[tuple[Vector, Vector]]) -> list[Vector]:
+    """The points of (point, pairing) members whose pairing lies above no other's.
+
+    The pairing is injective, so a point below v has a strictly smaller
+    pairing total.  In order of increasing total, every point below v
+    comes first and lies above a minimal element already kept, so v is
+    tested only against those.
+    """
+    minimal: list[tuple[Vector, Vector]] = []
+    for _, pv, v in sorted((sum(pv), pv, v) for v, pv in members):
+        if not any(all(a <= b for a, b in zip(pw, pv)) for pw, _ in minimal):
+            minimal.append((pv, v))
+    return [v for _, v in minimal]
 
 
 def toric_fsig_exact(ring: ToricRing, delta: TorusQDivisor | None = None) -> Fraction:

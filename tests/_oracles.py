@@ -224,6 +224,15 @@ def brute_window_count(normals, q: int, caps: tuple[int, ...] | None = None) -> 
     return count
 
 
+def brute_minimal_elements(ring, points) -> list[tuple[int, ...]]:
+    """The points whose pairing vector lies above no other point's, by comparing every pair."""
+    pairs = {v: ring.pairing(v) for v in points}
+    return [
+        v for v in points
+        if not any(w != v and all(a <= b for a, b in zip(pairs[w], pairs[v])) for w in points)
+    ]
+
+
 def brute_is_small(n: int, weights: tuple[int, ...]) -> bool:
     """No g^j, 0 < j < n, fixes a hyperplane: at most d-2 of the j*a_i vanish mod n."""
     d = len(weights)

@@ -85,10 +85,10 @@ def test_compute_rejects_toric_backend_for_presentation(tmp_path):
 
 
 def test_compute_budget_abort(tmp_path):
-    # x0*x1 makes f non-separated, so the budget stops the graded rank route
+    # f is neither separated nor quadratic, so the budget stops the graded rank route
     doc = {
         "ring": {"type": "hypersurface", "p": 3, "nvars": 4,
-                 "f": "x0^2 + x1^2 + x2^2 + x3^2 + x0*x1"},
+                 "f": "x0*x1 + x0*x2^2 + x1*x2^2 + x3^2"},
         "options": {"e_max": 3},
     }
     code, _ = run(tmp_path, "compute", doc, "--budget", "0.01")

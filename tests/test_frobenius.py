@@ -255,7 +255,7 @@ def test_hilbert_kunz_lengths_at_rank_deficient_linear_forms():
 
 @pytest.mark.parametrize("f, nvars, gens", [
     ("x*y - z^2", 3, ("x + y", "y - z", "z")),
-    ("x*y + y*z + z*x", 3, None),
+    ("x*y + x*z^2 + y*z^2", 3, None),
     ("x0^2 + x1^2 + x2^2 + x3^2", 4, None),
 ], ids=["Groebner", "rank", "separated"])
 def test_hilbert_kunz_lengths_stop_past_deadline(f, nvars, gens):
@@ -308,9 +308,9 @@ def test_budget_exceeded_carries_partial_records():
 def test_budget_checked_between_graded_blocks(monkeypatch):
     # The clock passes the deadline once e = 2 starts its rank, so only the
     # check before each graded block can stop that level; e = 1 is kept.
-    # x*y - z^2 + x*z is not separated, so it takes the graded rank route;
-    # over GF(3) it is a nondegenerate ternary form, like the A_1 surface.
-    f = parse_polynomial("x*y - z^2 + x*z", 3, 3, names=("x", "y", "z"))
+    # x*y + x*z^2 + y*z^2 = (x + z^2)(y + z^2) - z^4, an A_3 surface, is
+    # neither separated nor quadratic, so it takes the graded rank route.
+    f = parse_polynomial("x*y + x*z^2 + y*z^2", 3, 3, names=("x", "y", "z"))
     clock = [0.0]
     monkeypatch.setattr(time, "monotonic", lambda: clock[0])
     real_rank = frobenius.multiplication_rank
@@ -323,7 +323,7 @@ def test_budget_checked_between_graded_blocks(monkeypatch):
     monkeypatch.setattr(frobenius, "multiplication_rank", rank_past_deadline)
     with pytest.raises(BudgetExceeded, match="during e = 2") as err:
         fsig_sequence(RingPresentation.hypersurface(f), e_max=3, deadline=1.0)
-    assert [r.a_e for r in err.value.records] == [5]
+    assert [r.a_e for r in err.value.records] == [3]
 
 
 def test_sequence_diagnostics_two_point_formula():

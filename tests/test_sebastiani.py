@@ -13,8 +13,10 @@ from fsig.ideals import Ideal
 from fsig.linalg import find_positive_weights, multiplication_rank, rank_mod_p_reference
 from fsig.poly import Polynomial, parse_polynomial
 from fsig.sebastiani import (
+    _separated_support,
     block_count,
     block_product,
+    diagonal_form,
     free_count,
     monomial_type,
     separated_colength,
@@ -22,11 +24,13 @@ from fsig.sebastiani import (
 )
 from fsig.toric import quotient_singularity, toric_splitting_number
 
-from _oracles import brute_block_matrix, brute_jordan_product, iter_box_monomials
+from _oracles import brute_block_matrix, brute_det, brute_jordan_product, iter_box_monomials
 
 XYZ = ("x", "y", "z")
 X4 = ("x0", "x1", "x2", "x3")
 QUADRIC = "x0^2 + x1^2 + x2^2 + x3^2"
+# (x + z^2)(y + z^2) - z^4: neither separated nor quadratic, so the engine declines it
+NOT_SEPARATED = "x*y + x*z^2 + y*z^2"
 
 # (f, names, p, e, a_e): every pinned a_e of a separated hypersurface
 PINNED = [
@@ -187,7 +191,7 @@ def test_engine_reaches_past_the_box_cap():
     assert splitting_number(hypersurface("x^2 + y^3 + z^5", XYZ, 7), e=3) == 982
 
 
-@pytest.mark.parametrize("text", ["x*y - z^2 + x*z", "x*y + y*z + z*x", "x*y - z^2 + 1"])
+@pytest.mark.parametrize("text", [NOT_SEPARATED, "x^2*y + y^2*z + z^2*x", "x*y - z^2 + 1"])
 def test_engine_declines_f_that_is_not_separated(text):
     f = parse_polynomial(text, 3, 3, names=XYZ)
     assert separated_splitting_number(f, 9) is None
@@ -244,7 +248,7 @@ def test_colength_matches_rank_route_on_random_separated_f():
 
 
 def test_hk_lengths_of_f_that_is_not_separated_reach_the_rank(monkeypatch):
-    ring = hypersurface("x*y + y*z + z*x", XYZ, 3)
+    ring = hypersurface(NOT_SEPARATED, XYZ, 3)
     calls = []
 
     def counted(*args, **kwargs):
@@ -290,3 +294,113 @@ def test_quadric_splitting_numbers_up_to_e6():
     ring = hypersurface(QUADRIC, X4, 3)
     a_e = [splitting_number(ring, e=e) for e in (5, 6)]
     assert a_e == [9566019, 258280569] == [(2 * q**3 + q) // 3 for q in (243, 729)]
+
+
+def random_quadratic_form(rng, p, nvars):
+    """A quadratic form over GF(p); a third of them are sums of fewer squares than nvars.
+
+    Those are degenerate; the rest have random coefficients, zero a third of the time.
+    """
+    if rng.random() < 1 / 3:
+        f = Polynomial.zero(p, nvars)
+        for _ in range(rng.randint(1, max(1, nvars - 1))):
+            terms = {tuple(int(i == j) for j in range(nvars)): rng.randrange(p) for i in range(nvars)}
+            linear = Polynomial(p, nvars, terms)
+            f = f + linear * linear * rng.randrange(1, p)
+        return f
+    terms = {}
+    for i in range(nvars):
+        for j in range(i, nvars):
+            if rng.random() < 2 / 3:
+                exps = [0] * nvars
+                exps[i] += 1
+                exps[j] += 1
+                terms[tuple(exps)] = rng.randrange(1, p)
+    return Polynomial(p, nvars, terms)
+
+
+def form_matrix(f):
+    """The symmetric matrix B of f over GF(p), f(x) = x^T B x."""
+    p, n = f.p, f.nvars
+    b = [[0] * n for _ in range(n)]
+    for m, c in f.terms.items():
+        i, j = (k for k, e in enumerate(m) for _ in range(e))
+        b[i][j] = b[j][i] = c if i == j else c * pow(2, p - 2, p) % p
+    return b
+
+
+def test_diagonal_form_keeps_rank_and_discriminant():
+    # over GF(p), p odd, rank and discriminant classify nondegenerate forms
+    rng = random.Random(20262)
+    for _ in range(200):
+        p = rng.choice([3, 5, 7, 11])
+        f = random_quadratic_form(rng, p, rng.randint(1, 5))
+        if f.is_zero():
+            continue
+        b = form_matrix(f)
+        diagonal = diagonal_form(f)
+        assert all(sum(m) == 2 and max(m) == 2 for m in diagonal.terms)
+        assert len(diagonal.terms) == rank_mod_p_reference(b, p), f.terms
+        if len(diagonal.terms) == f.nvars:
+            legendre = pow(math.prod(diagonal.terms.values()) * brute_det(b), (p - 1) // 2, p)
+            assert legendre == 1, f.terms
+
+
+def test_quadratic_forms_match_the_rank_route():
+    # a_e and the colength at m of a quadratic form that is not written
+    # diagonally come from its diagonal form
+    rng = random.Random(20263)
+    reached = degenerate = 0
+    for _ in range(60):
+        p = rng.choice([3, 5, 7])
+        f = random_quadratic_form(rng, p, rng.randint(2, 4))
+        if f.is_zero():
+            continue
+        ring = RingPresentation.hypersurface(f)
+        reached += _separated_support(f) is None
+        degenerate += len(diagonal_form(f).terms) < f.nvars
+        for e in (1, 2):
+            q = p**e
+            if q**f.nvars > 20_000:
+                break
+            caps = (q,) * f.nvars
+            assert separated_splitting_number(f, q) == rank_route(ring, e), (f.terms, p, e)
+            expected = q**f.nvars - multiplication_rank(f, caps, find_positive_weights(f))
+            assert separated_colength(f, caps) == expected, (f.terms, p, e)
+    assert reached > 20 and degenerate > 10
+
+
+def test_quadric_that_is_not_diagonal_matches_the_colon_route(monkeypatch):
+    # the engine diagonalises the form; the colon route, which must not call it, agrees
+    ring = hypersurface("x*y + y*z + z*x", XYZ, 3)
+    engine = separated_splitting_number(ring.f, 9)
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the colon route called the separated engine")
+
+    monkeypatch.setattr(frobenius, "separated_splitting_number", no_engine)
+    assert splitting_number(ring, e=2, method="colon") == engine == 41
+
+
+@pytest.mark.parametrize("text, p, caps", [
+    ("x*y + y*z + z*x", 2, (4, 4, 4)),  # p = 2: no symmetric matrix
+    ("x*y + y*z + z*x", 3, (9, 9, 3)),  # unequal caps
+    ("x*y + y*z + z*x", 3, (6, 6, 6)),  # a cap that is not a power of p
+    (NOT_SEPARATED, 3, (9, 9, 9)),  # not quadratic
+], ids=["p2", "unequal-caps", "cap-not-a-power", "not-quadratic"])
+def test_engine_declines_quadrics_outside_its_normal_form(text, p, caps):
+    f = parse_polynomial(text, p, 3, names=XYZ)
+    assert separated_colength(f, caps) is None
+    if len(set(caps)) == 1:
+        assert separated_splitting_number(f, caps[0]) is None
+
+
+def test_quadric_pins_past_the_box_cap():
+    ring = hypersurface("x*y + y*z + z*x", XYZ, 7)
+    assert [splitting_number(ring, e=e) for e in (1, 2, 3)] == [25, 1201, 58825]
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        rank_route(ring, 3)
+    # x0^2 + x0*x1 + x1^2 = (x0 + 2*x1)^2 over GF(3): a form of rank 3
+    ring = hypersurface(QUADRIC + " + x0*x1", X4, 3)
+    a_e = [splitting_number(ring, e=e) for e in (1, 2, 3, 4)]
+    assert a_e == [15, 369, 9855, 265761] == [q * (q**2 + 1) // 2 for q in (3, 9, 27, 81)]

@@ -13,6 +13,7 @@ from fsig.toric import (
     ToricRing,
     TorusQDivisor,
     _is_small,
+    _minimal_elements,
     adjugate,
     canonical_divisor,
     divisor_round,
@@ -29,6 +30,7 @@ from _oracles import (
     brute_det,
     brute_invariant_hilbert_basis,
     brute_is_small,
+    brute_minimal_elements,
     brute_window_count,
     invariant_monomial_count,
     is_effective,
@@ -289,17 +291,22 @@ def _audit_box(ring, q):
 
 
 def _class_minima(ring, q, caps):
-    """Residue -> sorted minimal elements of its points in the box, by pairwise comparison."""
+    """Residue -> sorted minimal elements of its points in the box, by pairwise comparison.
+
+    Each class's minimal elements by increasing pairing total
+    (``_minimal_elements``), from its points in a shuffled order, must be
+    the same.
+    """
+    rng = random.Random(q)
     classes = {}
     for c in map(tuple, ring._lattice_points(caps, 10**7, "box too large").T.tolist()):
         classes.setdefault(tuple(x % q for x in c), []).append(c)
     minima = {}
     for residue, points in classes.items():
-        pairs = {c: ring.pairing(c) for c in points}
-        minima[residue] = sorted(
-            c for c in points
-            if not any(b != c and all(x <= y for x, y in zip(pairs[b], pairs[c])) for b in points)
-        )
+        minima[residue] = sorted(brute_minimal_elements(ring, points))
+        members = [(c, ring.pairing(c)) for c in points]
+        rng.shuffle(members)
+        assert sorted(_minimal_elements(members)) == minima[residue], residue
     return minima
 
 
