@@ -291,9 +291,10 @@ def fsig_sequence(
 
     A ToricRing (with a TorusQDivisor pair) takes its a_e from the lattice
     window counts, a RingPresentation (with a PairDivisor) from
-    ``splitting_number``.  ``deadline`` is checked before each e and, on a
-    presentation, before each graded block or during each tensor product;
-    past it ``BudgetExceeded`` carries the records finished so far.
+    ``splitting_number``.  ``deadline`` is checked before each e, before
+    each level of a window count's lattice walk, and on a presentation
+    before each graded block or during each tensor product; past it
+    ``BudgetExceeded`` carries the records finished so far.
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
@@ -303,13 +304,13 @@ def fsig_sequence(
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"time budget exhausted before e = {e}", records)
         q = ring.p**e
-        if toric:
-            a_e = toric_splitting_number(ring, delta, e)
-        else:
-            try:
+        try:
+            if toric:
+                a_e = toric_splitting_number(ring, delta, e, deadline=deadline)
+            else:
                 a_e = splitting_number(ring, delta, e, deadline=deadline)
-            except TimeoutError:
-                raise BudgetExceeded(f"time budget exhausted during e = {e}", records) from None
+        except TimeoutError:
+            raise BudgetExceeded(f"time budget exhausted during e = {e}", records) from None
         records.append(SplittingRecord(e, q, a_e, Fraction(a_e, q**ring.d)))
     extrapolated, consistent, monotone = sequence_diagnostics(records)
     sequence = SplittingSequence(records, records[-1].normalized, extrapolated, consistent, monotone)

@@ -5,7 +5,14 @@ inside the intrinsic lattice Z^d, together with an embedding matrix
 mapping intrinsic coordinates to ambient monomial exponents.  A residue
 class of M/qM is free exactly when it contains a lattice point pairing
 into [0, q-1] with every facet normal, and such a window point is
-provably the unique minimal element of its class.  The class audit finds
+provably the unique minimal element of its class.  Lattice points with
+pairings in a box are made by a walk over an echelon basis of the
+pairing lattice normals @ Z^d, one pairing coordinate per level, so only
+lattice points and their prefixes are ever built.  A window count a_e
+stops the walk one level short and sums the last level's progression
+lengths in closed form: it refuses only when a level it builds would
+hold more than 20,000,000 partial sums, and its cost does not depend on
+the index of the lattice.  The class audit finds
 the minimal elements of every class in one enumeration of a box whose
 bound, q*D_F - 1 on facet F, is proved in toric_splitting_certificates.
 The F-signature is the exact rational volume of the limiting window
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -383,22 +391,98 @@ class ToricRing:
         degree = np.asarray(sums, dtype=np.int64) @ cs
         return [tuple(c) for c in cs[:, degree <= bound].T.tolist()]
 
+    @cached_property
+    def _pairing_basis(self) -> tuple[list[Vector], list[list[int]], int]:
+        """Echelon basis b_1..b_d of the pairing lattice normals @ Z^d.
+
+        b_i[j] = 0 for j < i and b_i[i] > 0.  Also returns the adjugate and
+        determinant of B, the matrix whose columns are the b_i, so that the
+        coordinates of y = B k are k = adj @ y / det.
+        """
+        basis = row_lattice_basis(list(zip(*self.normals)))
+        _require(len(basis) == self.d and all(b[i] > 0 for i, b in enumerate(basis)),
+                 "the pairing lattice has no echelon basis of full rank")
+        adj, det = adjugate(list(zip(*basis)))
+        return basis, adj, det
+
+    def _require_int64(self, caps: Sequence[int], error: str) -> None:
+        """Raise ValueError(error) unless every value the walk forms fits in int64.
+
+        That is adj @ y and det for c = adj @ y / det, the basis entries,
+        the partial sums and the count.  B is lower triangular, so k_j
+        depends on y_1..y_j alone: |k_j| <= sum_m |adj_B[j][m]| caps[m] / |det|
+        holds for every prefix of the walk and bounds its partial sums.  The
+        count is at most the box.
+        """
+        basis, adj_b, det_b = self._pairing_basis
+        reach = lambda rows: [sum(abs(a) * int(c) for a, c in zip(row, caps)) for row in rows]
+        ks = [k // abs(det_b) for k in reach(adj_b)]
+        partial = max(caps) + max(sum(k * abs(b[m]) for k, b in zip(ks, basis)) for m in range(self.d))
+        entries = max(abs(x) for b in basis for x in b)
+        box = math.prod(int(c) + 1 for c in caps)
+        if max(*reach(self._adj), abs(self._det), partial, entries, box) >= 2**63:
+            raise ValueError(error)
+
+    def _walk(self, caps: Sequence[int], levels: int, limit: int, error: str,
+              deadline: float | None = None) -> np.ndarray:
+        """The partial sums y = sum_{j<levels} k_j b_j with 0 <= y_j <= caps[j], j < levels.
+
+        Level i extends every partial sum s by the progression s + k b_i
+        whose y_i lies in [0, caps[i]], in increasing k, so the columns come
+        out in lexicographic order of their first ``levels`` entries.  Before
+        each level, raises TimeoutError once ``deadline`` (time.monotonic)
+        has passed, and ValueError(error) when the level would hold more
+        than limit partial sums.  The caller checks _require_int64.
+        """
+        basis = np.asarray(self._pairing_basis[0], dtype=np.int64)
+        sums = np.zeros((self.d, 1), dtype=np.int64)
+        for i in range(levels):
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError(f"deadline passed before level {i + 1} of a lattice walk")
+            first, length = self._progressions(sums, i, caps[i])
+            total = int(length.sum())
+            if total > limit:
+                raise ValueError(error)
+            starts = np.cumsum(length) - length
+            k = np.arange(total) - np.repeat(starts - first, length)
+            sums = np.repeat(sums, length, axis=1) + basis[i][:, None] * k
+        return sums
+
+    def _progressions(self, sums: np.ndarray, i: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per column s, the first k and the number of k with 0 <= s_i + k b_ii <= cap."""
+        pivot = self._pairing_basis[0][i][i]
+        first = -(sums[i] // pivot)
+        return first, np.maximum((int(cap) - sums[i]) // pivot - first + 1, 0)
+
     def _lattice_points(self, caps: Sequence[int], limit: int, error: str) -> np.ndarray:
         """Lattice points c with 0 <= <v_F, c> <= caps[F], as a d x N int64 array.
 
-        Enumerates the pairing values y in the box and keeps those with
-        adj @ y divisible by det, which are exactly y = normals @ c.
-        Raises ValueError(error) when the box holds more than limit points,
-        or when adj @ y or det could leave int64, where numpy would wrap.
+        Walks the echelon basis of the pairing lattice (``_walk``): only
+        lattice points and their prefixes are made, never the box of pairing
+        values.  The columns come in lexicographic order of their pairing
+        vectors y = normals @ c, and c = adj @ y / det.  Raises
+        ValueError(error) when the box holds more than limit points, or when
+        a value could leave int64, where numpy would wrap.
         """
-        widths = [int(c) + 1 for c in caps]
-        reach = max(sum(abs(a) * int(c) for a, c in zip(row, caps)) for row in self._adj)
-        if math.prod(widths) > limit or max(reach, abs(self._det)) >= 2**63:
+        if math.prod(int(c) + 1 for c in caps) > limit:
             raise ValueError(error)
-        grid = np.indices(widths).reshape(self.d, -1)
-        adj = np.asarray(self._adj, dtype=np.int64)
-        ys = grid[:, np.all((adj @ grid) % abs(self._det) == 0, axis=0)]
-        return (adj @ ys) // self._det
+        self._require_int64(caps, error)
+        ys = self._walk(caps, self.d, limit, error)
+        return (np.asarray(self._adj, dtype=np.int64) @ ys) // self._det
+
+    def _lattice_count(self, caps: Sequence[int], limit: int, error: str,
+                       deadline: float | None = None) -> int:
+        """The number of columns of ``_lattice_points(caps)``, from a walk one level short.
+
+        The last level's progression lengths are summed in closed form, so
+        the count never makes its points and its cost does not depend on the
+        index of the pairing lattice.  It has no box check: it refuses when a
+        level it builds would hold more than limit partial sums or a value
+        could leave int64; ``deadline`` as in ``_walk``.
+        """
+        self._require_int64(caps, error)
+        sums = self._walk(caps, self.d - 1, limit, error, deadline)
+        return int(self._progressions(sums, self.d - 1, caps[-1])[1].sum())
 
     def __repr__(self) -> str:
         return f"ToricRing(p={self.p}, {self.label})"
@@ -503,20 +587,29 @@ def _window_widths(ring: ToricRing, delta: TorusQDivisor | None, q: int) -> list
     return widths
 
 
-def _window_points(ring: ToricRing, widths: Sequence[int]) -> np.ndarray:
-    """Lattice points with 0 <= <v_F, c> <= widths[F] for every facet, one per column."""
-    return ring._lattice_points(widths, 20_000_000, "window too large to enumerate")
+_WINDOW_LIMIT = 20_000_000
+_WINDOW_ERROR = "window too large to enumerate"
 
 
-def toric_splitting_number(ring: ToricRing, delta: TorusQDivisor | None = None, e: int = 1) -> int:
-    """a_e: the number of free residue classes of the e-th pushforward."""
+def toric_splitting_number(
+    ring: ToricRing, delta: TorusQDivisor | None = None, e: int = 1, deadline: float | None = None
+) -> int:
+    """a_e: the number of free residue classes of the e-th pushforward.
+
+    That is the number of lattice points in the window 0 <= <v_F, c> <=
+    q - 1 - floor(q * t_F), counted by the echelon walk one level short
+    (``ToricRing._lattice_count``).  Raises ValueError when a level of the
+    walk would hold more than 20,000,000 partial sums or a value would
+    leave int64, and TimeoutError before a level once ``deadline``
+    (time.monotonic) has passed.
+    """
     if e < 1:
         raise ValueError("e must be a positive integer")
     q = ring.p**e
     widths = _window_widths(ring, delta, q)
     if widths is None:
         return 0
-    return _window_points(ring, widths).shape[1]
+    return ring._lattice_count(widths, _WINDOW_LIMIT, _WINDOW_ERROR, deadline)
 
 
 def toric_splitting_certificates(
@@ -541,7 +634,7 @@ def toric_splitting_certificates(
     widths = _window_widths(ring, delta, q)
     free_widths = [q - 1] * ring.nfacets
     certs: dict[Vector, FreeClassCertificate] = {}
-    for w in map(tuple, _window_points(ring, free_widths).T.tolist()):
+    for w in map(tuple, ring._lattice_points(free_widths, _WINDOW_LIMIT, _WINDOW_ERROR).T.tolist()):
         residue = tuple(x % q for x in w)
         counted = widths is not None and all(
             x <= limit for x, limit in zip(ring.pairing(w), widths)

@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from fsig.frobenius import RingPresentation, in_bracket_maximal
 from fsig.linalg import rank_mod_p_reference
 from fsig.poly import Polynomial, default_names
@@ -222,6 +224,19 @@ def brute_window_count(normals, q: int, caps: tuple[int, ...] | None = None) -> 
         if ok:
             count += 1
     return count
+
+
+def brute_lattice_points(ring, caps) -> np.ndarray:
+    """Lattice points c with 0 <= <v_F, c> <= caps[F], by filtering the box of pairings.
+
+    Builds every pairing vector y in the box, in lexicographic order, and
+    keeps those with adj @ y divisible by det, which are exactly
+    y = normals @ c; returns c = adj @ y / det, one point per column.
+    """
+    grid = np.indices([int(c) + 1 for c in caps]).reshape(ring.d, -1)
+    adj = np.asarray(ring._adj, dtype=np.int64)
+    ys = grid[:, np.all((adj @ grid) % abs(ring._det) == 0, axis=0)]
+    return (adj @ ys) // ring._det
 
 
 def brute_minimal_elements(ring, points) -> list[tuple[int, ...]]:

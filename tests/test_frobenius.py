@@ -326,6 +326,25 @@ def test_budget_checked_between_graded_blocks(monkeypatch):
     assert [r.a_e for r in err.value.records] == [3]
 
 
+def test_budget_checked_inside_a_window_count(monkeypatch):
+    # The clock passes the deadline once the count for e = 2 starts, so only
+    # the check before each level of its lattice walk can stop that level.
+    ring = quotient_singularity(7, (1, 2, 4), 3)
+    clock = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+    real_count = frobenius.toric_splitting_number
+
+    def count_past_deadline(ring, delta, e, **kwargs):
+        if e == 2:
+            clock[0] = 2.0
+        return real_count(ring, delta, e, **kwargs)
+
+    monkeypatch.setattr(frobenius, "toric_splitting_number", count_past_deadline)
+    with pytest.raises(BudgetExceeded, match="during e = 2") as err:
+        fsig_sequence(ring, e_max=3, deadline=1.0)
+    assert [r.a_e for r in err.value.records] == [3]
+
+
 def test_sequence_diagnostics_two_point_formula():
     # Hand-built records with a_e/q^d = s + c/q must extrapolate to s.
     s, c = Fraction(1, 3), Fraction(2, 7)

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from _oracles import (
     brute_det,
     brute_invariant_hilbert_basis,
     brute_is_small,
+    brute_lattice_points,
     brute_minimal_elements,
     brute_window_count,
     invariant_monomial_count,
@@ -214,6 +217,89 @@ def test_window_counts_match_brute_grid():
         assert toric_splitting_number(ring, None, 2) == brute_window_count(
             ring.normals, q
         )
+
+
+def _assert_walk_matches_grid(ring, caps):
+    """The walk's points equal the box filter's, column for column, and so does its count."""
+    expected = brute_lattice_points(ring, caps)
+    assert ring._lattice_points(caps, 10**7, "box too large").tolist() == expected.tolist(), caps
+    assert ring._lattice_count(caps, 10**7, "box too large") == expected.shape[1], caps
+
+
+CYCLIC_QUOTIENTS = [
+    (n, weights)
+    for d in (2, 3)
+    for n in range(2, 12)
+    for weights in itertools.combinations_with_replacement(range(n), d)
+    if math.gcd(n, *weights) == 1
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_walk_matches_grid_on_every_small_cyclic_quotient(p):
+    for n, weights in CYCLIC_QUOTIENTS:
+        if n % p:
+            ring = quotient_singularity(n, weights, p)
+            for e in (1, 2, 3) if p == 2 else (1, 2):
+                _assert_walk_matches_grid(ring, [p**e - 1] * ring.d)
+
+
+def test_walk_matches_grid_with_seeded_caps():
+    rng = random.Random(16)
+    for n, weights in rng.sample(CYCLIC_QUOTIENTS, 60):
+        ring = quotient_singularity(n, weights, 7 if n % 7 else 3)
+        for _ in range(3):
+            _assert_walk_matches_grid(ring, [rng.choice([0, 0, 1, rng.randrange(30)]) for _ in range(ring.d)])
+
+
+def test_walk_matches_grid_on_seeded_rays():
+    rng = random.Random(1601)
+    rings = 0
+    while rings < 150:
+        d = rng.choice([1, 2, 2, 3, 3])
+        rays = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+        if not all(any(r) and math.gcd(*r) == 1 for r in rays) or abs(brute_det(rays)) < 2:
+            continue
+        ring = ToricRing(3, rays)
+        rings += 1
+        _assert_walk_matches_grid(ring, [rng.randrange(13 if d == 3 else 40) for _ in range(d)])
+        _assert_walk_matches_grid(ring, [rng.choice([0, 5]) for _ in range(d)])
+
+
+def test_window_count_reaches_e6_on_a_rank_3_quotient():
+    # a_6 = (729^3 + 6) / 7; the box of pairing values at e = 6 has 729^3 points
+    ring = quotient_singularity(7, (1, 2, 4), 3)
+    assert toric_splitting_number(ring, None, 5) == 2049843
+    assert toric_splitting_number(ring, None, 6) == 55345785 == (729**3 + 6) // 7
+
+
+def test_window_count_refuses_a_level_past_the_cap_before_building_it():
+    ring = ToricRing.regular(3, 3)
+    assert ring._lattice_count([4, 4, 4], 25, "too many") == 125
+    with pytest.raises(ValueError, match="too many"):
+        ring._lattice_count([4, 4, 4], 24, "too many")  # its second level holds 25
+    plane = ToricRing.regular(3, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="window too large to enumerate"):
+            toric_splitting_number(plane, None, 16)  # a first level of 3^16 > 20M
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_window_count_checks_the_deadline_before_allocating():
+    ring = quotient_singularity(7, (1, 2, 4), 3)
+    assert ring._pairing_basis  # cached on the ring; built here, outside the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(TimeoutError):
+            toric_splitting_number(ring, None, 7, deadline=time.monotonic() - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_exact_signature_is_limit_of_windows():
