@@ -8,7 +8,8 @@ Two computational backends share one vocabulary:
 - a sequence backend for hypersurface and regular presentations
   (``frobenius``), where splitting numbers are ranks of the Fedder twist
   on P/m^[q] (Jordan types for separated hypersurfaces and, after
-  diagonalisation, quadratic forms at odd p, ``sebastiani``),
+  diagonalisation, quadratic forms at odd p, with monomial pairs or one
+  linear pair component on a quadratic form, ``sebastiani``),
   cross-checked by the Groebner length q^n - lambda(P/(m^[q], g)), and
   the limit is only ever estimated.
 
@@ -60,6 +61,7 @@ from .frobenius import (
     FLOOR_PE,
     BudgetExceeded,
     FSignature,
+    LevelRefused,
     PairDivisor,
     RingPresentation,
     SplittingRecord,
@@ -101,6 +103,7 @@ __all__ = [
     "FreeClassCertificate",
     "Ideal",
     "IndexReport",
+    "LevelRefused",
     "NonEffectivePairError",
     "PairDivisor",
     "ParseError",

@@ -4,10 +4,10 @@ Rings are presented either as a polynomial ring over GF(p) (regular) or
 as a hypersurface quotient P/(f).  By Fedder's criterion the splitting
 number is a_e = lambda(P/(m^[q] : g)) for the twist
 g = f^(q-1) * prod g_j^(r_j), which is the rank of multiplication by g
-on P/m^[q]; that rank is how a_e is computed, except for a separated f
-with no pair, whose a_e comes from Jordan types (fsig.sebastiani)
-without building g, and for a quadratic form at odd p, which that
-engine diagonalises first.  The Groebner route
+on P/m^[q].  That rank comes from Jordan types (fsig.sebastiani) without
+building g when f is separated or a quadratic form at odd p and the pair
+is monomial, or one linear form on such a quadratic form; every other
+twist is ranked on P/m^[q] itself.  The Groebner route
 (``method="colon"``) cross-checks it without linear algebra: the exact
 sequence 0 -> P/(m^[q] : g) -> P/m^[q] -> P/(m^[q], g) -> 0 gives
 a_e = q^n - lambda(P/(m^[q], g)).  fsig_sequence also takes a toric
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .ideals import Ideal, frobenius_power, ideal_sum, normal_form, quotient_length
-from .linalg import find_positive_weights, multiplication_rank
+from .linalg import find_positive_weights, multiplication_rank, rank_mod_p_reference
 from .poly import Polynomial
 from .sebastiani import separated_colength, separated_splitting_number
 from .toric import ToricRing, TorusQDivisor, toric_fsig_exact, toric_splitting_number
@@ -36,6 +36,14 @@ CEIL_PE_MINUS_1 = "ceil_pe_minus_1"
 
 class BudgetExceeded(RuntimeError):
     """A sequence computation ran past its deadline; carries partial records."""
+
+    def __init__(self, message: str, records: list["SplittingRecord"]):
+        super().__init__(message)
+        self.records = records
+
+
+class LevelRefused(ValueError):
+    """A sequence computation refused a level after finishing others; carries their records."""
 
     def __init__(self, message: str, records: list["SplittingRecord"]):
         super().__init__(message)
@@ -149,6 +157,19 @@ class PairDivisor:
         return out
 
 
+def _pair_factors(
+    ring: RingPresentation, delta: PairDivisor | None, q: int
+) -> list[tuple[Polynomial, int]]:
+    """The pair's twist factors (g_j, r_j) with r_j > 0 at scale q, after its checks."""
+    if delta is None or delta.is_empty():
+        return []
+    delta.check_floor_zero()
+    for comp, _ in delta.components:
+        if comp.p != ring.p or comp.nvars != ring.nvars:
+            raise ValueError("divisor component lives in a different ring")
+    return [(comp, r) for (comp, _), r in zip(delta.components, delta.exponents(q)) if r]
+
+
 def _twist(
     ring: RingPresentation, delta: PairDivisor | None, e: int
 ) -> tuple[int, Polynomial, tuple[Polynomial, ...]]:
@@ -159,18 +180,14 @@ def _twist(
     q = ring.p**e
     g = Polynomial.one(ring.p, ring.nvars)
     factors: list[Polynomial] = []
+    pairs = _pair_factors(ring, delta, q)
     try:
         if ring.kind == "hypersurface":
             g = ring.f ** (q - 1)
             factors.append(ring.f)
-        if delta is not None and not delta.is_empty():
-            delta.check_floor_zero()
-            for (comp, _), r in zip(delta.components, delta.exponents(q)):
-                if comp.p != ring.p or comp.nvars != ring.nvars:
-                    raise ValueError("divisor component lives in a different ring")
-                if r:
-                    g = g * comp**r
-                    factors.append(comp)
+        for comp, r in pairs:
+            g = g * comp**r
+            factors.append(comp)
     except OverflowError:
         raise ExponentOverflow(q) from None
     return q, g, tuple(factors)
@@ -185,30 +202,50 @@ def splitting_number(
 ) -> int:
     """a_e = lambda(P/(m^[q] : g)), the free rank of the e-th Frobenius pushforward.
 
-    ``method="auto"`` takes a_e of a hypersurface with no pair whose f is
-    separated (terms in pairwise disjoint variables) from
-    ``fsig.sebastiani``, which also takes a quadratic form at odd p after
-    diagonalising it by a linear change of variables, and otherwise the
-    rank of g on P/m^[q].  ``method="colon"`` computes
-    q^n - lambda(P/(m^[q], g)) from a grevlex basis.  Every route stops
-    with ``TimeoutError`` past ``deadline``.
+    ``method="auto"`` takes a_e of a hypersurface from ``fsig.sebastiani``
+    when f is separated (terms in pairwise disjoint variables) or a
+    quadratic form at odd p, and the pair is monomial or one linear form
+    on such a quadratic form; otherwise it is the rank of g on P/m^[q].
+    ``method="colon"`` computes q^n - lambda(P/(m^[q], g)) from a grevlex
+    basis and never calls the engine.  Every route stops with
+    ``TimeoutError`` past ``deadline``.
     """
     if method not in ("auto", "colon"):
         raise ValueError(f"unknown method {method!r}")
     if e < 1:
         raise ValueError("e must be a positive integer")
-    if method == "auto" and ring.kind == "hypersurface" and (delta is None or delta.is_empty()):
-        a_e = separated_splitting_number(ring.f, ring.p**e, deadline)
-        if a_e is not None:
-            return a_e
-    q, g, factors = _twist(ring, delta, e)
     if method == "auto":
-        return _colon_length(ring, g, q, factors, deadline)
+        return _twisted_rank(ring, delta, e, None, deadline)
+    q, g, _ = _twist(ring, delta, e)
     bracket = Ideal.bracket_maximal(ring.p, ring.nvars, q)
     length = quotient_length(ideal_sum(bracket, Ideal(ring.p, ring.nvars, [g])), deadline)
     if length == math.inf:
         raise ValueError("m^[q] + (twist) does not have finite colength")
     return q**ring.nvars - int(length)
+
+
+def _twisted_rank(
+    ring: RingPresentation,
+    delta: PairDivisor | None,
+    e: int,
+    extra: Polynomial | None = None,
+    deadline: float | None = None,
+) -> int:
+    """The rank of the twist of ``delta`` (times ``extra``) on P/m^[q].
+
+    On a hypersurface the engine takes it when it can, with ``extra`` as
+    one more factor of exponent 1; otherwise the twist is built and ranked.
+    """
+    q = ring.p**e
+    if ring.kind == "hypersurface":
+        pairs = _pair_factors(ring, delta, q) + ([(extra, 1)] if extra is not None else [])
+        rank = separated_splitting_number(ring.f, q, pairs, deadline)
+        if rank is not None:
+            return rank
+    _, g, factors = _twist(ring, delta, e)
+    if extra is not None:
+        g, factors = g * extra, factors + (extra,)
+    return _colon_length(ring, g, q, factors, deadline)
 
 
 def _colon_length(
@@ -294,7 +331,9 @@ def fsig_sequence(
     ``splitting_number``.  ``deadline`` is checked before each e, before
     each level of a window count's lattice walk, and on a presentation
     before each graded block or during each tensor product; past it
-    ``BudgetExceeded`` carries the records finished so far.
+    ``BudgetExceeded`` carries the records finished so far.  A level
+    refused with ``ValueError`` (too large for every route) after others
+    finished raises ``LevelRefused``, which carries their records.
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
@@ -311,6 +350,11 @@ def fsig_sequence(
                 a_e = splitting_number(ring, delta, e, deadline=deadline)
         except TimeoutError:
             raise BudgetExceeded(f"time budget exhausted during e = {e}", records) from None
+        except ValueError as exc:
+            if not records:
+                raise
+            message = f"e = {e} refused: {exc}; the last finished level is e = {e - 1}"
+            raise LevelRefused(message, records) from exc
         records.append(SplittingRecord(e, q, a_e, Fraction(a_e, q**ring.d)))
     extrapolated, consistent, monotone = sequence_diagnostics(records)
     sequence = SplittingSequence(records, records[-1].normalized, extrapolated, consistent, monotone)
@@ -417,14 +461,14 @@ def _gap_sequence(
     """(lambda(P/(m^[q] : g)) - lambda(P/(m^[q] : g*extra)))/q^d for e = 1..e_max.
 
     g is the twist of ``delta``; ``extra`` must be nonzero.  The first
-    length is a_e from ``splitting_number``, the second the rank of g*extra.
+    length is a_e from ``splitting_number``, the second the rank of
+    g*extra, each through the engine when it takes them.
     """
     gaps = []
     for e in range(1, e_max + 1):
         base = splitting_number(ring, delta, e)
-        q, g, factors = _twist(ring, delta, e)
-        shifted = _colon_length(ring, g * extra, q, factors + (extra,))
-        gaps.append(Fraction(base - shifted, q**ring.d))
+        shifted = _twisted_rank(ring, delta, e, extra)
+        gaps.append(Fraction(base - shifted, ring.p ** (e * ring.d)))
     return gaps
 
 
@@ -472,14 +516,15 @@ def hk_length_sequence(
     """Normalized Hilbert-Kunz lengths lambda(R/I^[q] R)/q^d for e = 1..e_max.
 
     When I is generated by pure variable powers x_i^(a_i), I^[q] is the box
-    (x_i^(a_i q)) and the length of a regular ring is prod a_i q.  On a
-    hypersurface it is the block count of ``separated_colength`` when f is
-    separated, or a quadratic form at odd p with every a_i q the same power
-    of p, and otherwise prod a_i q less the rank of f on the box
-    (``multiplication_rank``).  Any other ideal takes the Groebner route,
-    lambda(P/(I^[q] + (f))).  Past ``deadline`` the rank, the Groebner
-    basis and count, and the engine's tensor products raise
-    ``TimeoutError``.
+    (x_i^(a_i q)); so it is, with every a_i = 1, when I is spanned by n
+    independent linear forms, which make I = m.  The length of a regular
+    ring is then prod a_i q.  On a hypersurface it is the block count of
+    ``separated_colength`` when f is separated, or a quadratic form at odd
+    p with every a_i q the same power of p, and otherwise prod a_i q less
+    the rank of f on the box (``multiplication_rank``).  Any other ideal
+    takes the Groebner route, lambda(P/(I^[q] + (f))).  Past ``deadline``
+    the rank, the Groebner basis and count, and the engine's tensor
+    products raise ``TimeoutError``.
     """
     if ideal.p != ring.p or ideal.nvars != ring.nvars:
         raise ValueError("ideal lives in a different ambient ring")
@@ -509,8 +554,18 @@ def hk_length_sequence(
 
 
 def _diagonal_caps(ideal: Ideal) -> tuple[int, ...] | None:
-    """Exponent caps when the ideal is generated by pure variable powers."""
-    caps = [0] * ideal.nvars
+    """Caps a_i with I^[q] = (x_i^(a_i q)) for every q, or None.
+
+    That holds when I is generated by pure variable powers, and when its
+    generators are linear forms of rank n: they span the linear forms, so
+    I is m and I^[q] = m^[q].
+    """
+    n = ideal.nvars
+    if all(sum(m) == 1 for g in ideal.generators for m in g.terms):
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rows = [[g.terms.get(unit, 0) for unit in units] for g in ideal.generators]
+        return (1,) * n if rank_mod_p_reference(rows, ideal.p) == n else None
+    caps = [0] * n
     for g in ideal.generators:
         if not g.is_monomial():
             return None

@@ -24,6 +24,23 @@ x -> A x with A in GL_n(GF(p)) maps m^[q] onto itself and conjugates f on
 P/m^[q] to f(A x): neither number changes.  Unequal caps, or caps that
 are not powers of p, are not invariant under GL_n, and stay declined.
 
+The rank of a twist f^(q-1) * prod g^r on P/m^[q] (a pair, or the extra
+factor of a gap length) is taken in two kinds:
+
+- monomial g, with beta = sum r * exp(g): x^beta P/m^[q] is isomorphic
+  to P/(x_i^(q - beta_i)), because multiplication by x^beta maps P onto
+  it with kernel m^[q] : x^beta = (x_i^(q - beta_i)).  So the rank is
+  that of f^(q-1) on the box with caps q - beta_i, 0 when a cap is <= 0.
+  f^q lies in m^[q], inside that box, so every block there has size at
+  most q, and the rank is the number of blocks of size exactly q;
+- one linear form l on a quadratic form f at odd p: while every cap is
+  still q, an A in GL_n(GF(p)) with l(A x) = u, a coordinate, brings f to
+  d*u^2 + sum d_j y_j^2, u*v + sum d_j y_j^2 or a form without u
+  (``diagonal_form(f, keep=l)``).  A fixes m^[q] and takes the twist to
+  f(A x)^(q-1) * u^r, a monomial factor: u's cap becomes q - r.
+
+Every other twist is declined.
+
 A Jordan type is a dict {block size: multiplicity}.  The types of the
 terms are closed forms; two types multiply through the table of
 ``block_product``, and the last two are read only through their free
@@ -36,6 +53,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
@@ -51,16 +69,37 @@ _MAX_CELLS = 1 << 32
 _TOO_LARGE = "the tensor products are too large for the separated engine"
 
 
-def separated_splitting_number(f: Polynomial, q: int, deadline: float | None = None) -> int | None:
-    """a_e of P/(f) at q = p^e when f is separated, otherwise None.
+def separated_splitting_number(
+    f: Polynomial,
+    q: int,
+    factors: Sequence[tuple[Polynomial, int]] = (),
+    deadline: float | None = None,
+) -> int | None:
+    """The rank of f^(q-1) * prod g^r on P/m^[q] at q = p^e, or None when declined.
 
-    f is separated when its terms have nonempty, pairwise disjoint
-    variable supports.  Past ``deadline`` (a ``time.monotonic()`` value,
-    checked during every product) it raises ``TimeoutError``.  A q past
-    ``_MAX_Q`` raises ``ValueError`` before any loop, and so does a tensor
-    product past the limits on pairs and cells before its own loop.
+    With no ``factors`` this is a_e of P/(f).  f must be separated (its
+    terms have nonempty, pairwise disjoint variable supports) or a
+    quadratic form at odd p; ``factors`` are pairs (g, r) with r > 0,
+    either all monomials or one linear form on a quadratic f at odd p
+    (see the module docstring).  Past ``deadline`` (a ``time.monotonic()``
+    value, checked during every product) it raises ``TimeoutError``.  A q
+    past ``_MAX_Q`` raises ``ValueError`` before any loop, and so does a
+    tensor product past the limits on pairs and cells before its own loop.
     """
-    walk = _last_types(f, (q,) * f.nvars, deadline)
+    caps = [q] * f.nvars
+    if len(factors) == 1 and _is_form(factors[0][0], 1) and _is_form(f, 2) and f.p % 2:
+        ((g, r),) = factors
+        f = diagonal_form(f, keep=g)
+        caps[_first_variable(g)] -= r
+    elif all(g.is_monomial() for g, _ in factors):
+        for g, r in factors:
+            (m,) = g.terms
+            caps = [c - r * e for c, e in zip(caps, m)]
+    else:
+        return None
+    if min(caps) <= 0:
+        return 0
+    walk = _last_types(f, tuple(caps), deadline)
     if walk is None:
         return None
     types, unused = walk
@@ -97,7 +136,7 @@ def _last_types(
     does not apply.
     """
     used = _separated_support(f)
-    if used is None and f.p % 2 and all(sum(m) == 2 for m in f.terms) and _same_power(caps, f.p):
+    if used is None and f.p % 2 and _is_form(f, 2) and _same_power(caps, f.p):
         f = diagonal_form(f)
         used = _separated_support(f)
     if used is None:
@@ -123,6 +162,16 @@ def _separated_support(f: Polynomial) -> set[int] | None:
     return used if all(supports) and sum(map(len, supports)) == len(used) else None
 
 
+def _is_form(f: Polynomial, degree: int) -> bool:
+    """Whether every term of f has total degree ``degree``."""
+    return all(sum(m) == degree for m in f.terms)
+
+
+def _first_variable(form: Polynomial) -> int:
+    """The least index of a variable a linear form uses."""
+    return min(m.index(1) for m in form.terms)
+
+
 def _same_power(caps: tuple[int, ...], p: int) -> bool:
     """Whether every cap is the same power of p."""
     q = 1
@@ -131,15 +180,25 @@ def _same_power(caps: tuple[int, ...], p: int) -> bool:
     return all(c == q for c in caps)
 
 
-def diagonal_form(f: Polynomial) -> Polynomial:
-    """f(A x) = sum_k d_k x_k^2 with A in GL_n(GF(p)), for a quadratic form f and p odd.
+def diagonal_form(f: Polynomial, keep: Polynomial | None = None) -> Polynomial:
+    """f(A x) in normal form with A in GL_n(GF(p)), for a quadratic form f and p odd.
+
+    Without ``keep`` the form is sum_k d_k x_k^2.  With a linear form
+    ``keep`` = l, A also takes l to the variable u = x_k of l's first
+    variable k, and the form is d*u^2 + sum_j d_j y_j^2, u*v + sum_j d_j y_j^2
+    or a form without u.
 
     Symmetric elimination on the matrix B of f (B_ii the coefficient of
-    x_i^2, B_ij = B_ji half that of x_i x_j).  A nonzero B_kk is a pivot:
-    x_k -> x_k - sum_i (B_ki / B_kk) x_i leaves d_k = B_kk on x_k^2 and the
-    Schur complement on the other variables.  When no diagonal entry is
-    left but some B_ij is nonzero, x_i -> x_i + x_j makes the new B_jj =
-    2 B_ij a pivot.  A form of rank r keeps r terms.
+    x_i^2, B_ij = B_ji half that of x_i x_j).  With ``keep``, the
+    substitution x_k -> (x_k - sum_{i != k} l_i x_i) / l_k comes first, so
+    that l becomes x_k, and u = x_k is never a pivot.  A nonzero B_kk is a
+    pivot: x_k -> x_k - sum_i (B_ki / B_kk) x_i leaves d_k = B_kk on x_k^2
+    and the Schur complement on the other variables.  When no diagonal
+    entry is left but some B_ij is nonzero, x_i -> x_i + x_j makes the new
+    B_jj = 2 B_ij a pivot.  A form of rank r keeps r terms without ``keep``.
+    What is left at the end with ``keep`` is c u^2 + 2 u sum_j B_uj y_j;
+    when some B_uj is nonzero, v = c u + 2 sum_j B_uj y_j replaces that y_j,
+    and the rest is u*v.
     """
     p, n = f.p, f.nvars
     b = [[0] * n for _ in range(n)]
@@ -147,6 +206,24 @@ def diagonal_form(f: Polynomial) -> Polynomial:
         i, j = (k for k, e in enumerate(m) for _ in range(e))
         b[i][j] = b[j][i] = c if i == j else c * (p + 1) // 2 % p
     rest = list(range(n))
+    kept = []
+    if keep is not None:
+        u = _first_variable(keep)
+        ell = [keep.terms.get(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
+        inverse = pow(ell[u], p - 2, p)
+        # x = A x' with A the identity but for row u: B -> A^T B A, columns then rows
+        row = [-c * inverse for c in ell]
+        row[u] = inverse - 1
+        for t in range(n):
+            pivot = b[t][u]
+            for j in range(n):
+                b[t][j] = (b[t][j] + row[j] * pivot) % p
+        for t in range(n):
+            pivot = b[u][t]
+            for j in range(n):
+                b[j][t] = (b[j][t] + row[j] * pivot) % p
+        rest.remove(u)
+        kept.append(u)
     diagonal = {}
     while True:
         k = next((k for k in rest if b[k][k]), None)
@@ -155,17 +232,24 @@ def diagonal_form(f: Polynomial) -> Polynomial:
             if pair is None:
                 break
             i, k = pair
-            for t in rest:  # x_i -> x_i + x_k: column k += column i, then row k += row i
+            for t in rest + kept:  # x_i -> x_i + x_k: column k += column i, then row k += row i
                 b[t][k] = (b[t][k] + b[t][i]) % p
-            for t in rest:
+            for t in rest + kept:
                 b[k][t] = (b[k][t] + b[i][t]) % p
         rest.remove(k)
         diagonal[k] = b[k][k]
         inverse = pow(b[k][k], p - 2, p)
-        for i in rest:
-            for j in rest:
+        for i in rest + kept:
+            for j in rest + kept:
                 b[i][j] = (b[i][j] - b[i][k] * b[k][j] * inverse) % p
-    return Polynomial(p, n, {tuple(2 * (i == k) for i in range(n)): d for k, d in diagonal.items()})
+    terms = {tuple(2 * (i == k) for i in range(n)): d for k, d in diagonal.items()}
+    for u in kept:
+        v = next((j for j in rest if b[u][j]), None)
+        if v is not None:
+            terms[tuple(int(i in (u, v)) for i in range(n))] = 1
+        elif b[u][u]:
+            terms[tuple(2 * (i == u) for i in range(n))] = b[u][u]
+    return Polynomial(p, n, terms)
 
 
 def monomial_type(m: tuple[int, ...], caps: tuple[int, ...]) -> dict[int, int]:

@@ -122,7 +122,9 @@ def test_compute_huge_e_max_on_a_separated_f_exits_2(tmp_path, capsys):
     started = time.monotonic()
     code, _ = run(tmp_path, "compute", doc, "--e-max", "40")
     assert code == 2
-    assert "too large for the separated engine" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "too large for the separated engine" in err
+    assert "e = 11 refused" in err and "the last finished level is e = 10" in err
     assert time.monotonic() - started < 10
 
 

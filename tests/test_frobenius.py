@@ -11,6 +11,7 @@ from fsig.frobenius import (
     CEIL_PE_MINUS_1,
     FLOOR_PE,
     BudgetExceeded,
+    LevelRefused,
     PairDivisor,
     RingPresentation,
     SplittingRecord,
@@ -25,7 +26,7 @@ from fsig.frobenius import (
     splitting_number,
     _twist,
 )
-from fsig.ideals import Ideal
+from fsig.ideals import Ideal, frobenius_power, ideal_sum, quotient_length
 from fsig.linalg import find_positive_weights
 from fsig.poly import Polynomial, parse_polynomial
 from fsig.toric import quotient_singularity
@@ -238,10 +239,14 @@ def linear_ideal(*gens):
     return Ideal(3, 3, [parse_polynomial(g, 3, 3, names=("x", "y", "z")) for g in gens])
 
 
-def test_hilbert_kunz_lengths_at_linear_forms_spanning_m():
-    # (x + y, y - z, z) is m: the Groebner route gives the lengths of m
-    values = hk_length_sequence(a1_surface(), linear_ideal("x + y", "y - z", "z"), 2)
-    assert values == [Fraction(13, 9), Fraction(121, 81)]
+def test_hilbert_kunz_lengths_at_linear_forms_spanning_m(monkeypatch):
+    # (x + y, y - z, z) is m, so its lengths are those of the box m^[q]; the
+    # Groebner length of I^[q] + (f), called directly, agrees
+    ring, ideal = a1_surface(), linear_ideal("x + y", "y - z", "z")
+    groebner = [Fraction(quotient_length(ideal_sum(frobenius_power(ideal, q), Ideal(3, 3, [ring.f]))), q * q)
+                for q in (3, 9)]
+    monkeypatch.setattr(frobenius, "quotient_length", None)
+    assert hk_length_sequence(ring, ideal, 2) == [Fraction(13, 9), Fraction(121, 81)] == groebner
 
 
 def test_hilbert_kunz_lengths_at_rank_deficient_linear_forms():
@@ -254,7 +259,7 @@ def test_hilbert_kunz_lengths_at_rank_deficient_linear_forms():
 
 
 @pytest.mark.parametrize("f, nvars, gens", [
-    ("x*y - z^2", 3, ("x + y", "y - z", "z")),
+    ("x*y - z^2", 3, ("x + y^2", "y - z", "z")),
     ("x*y + x*z^2 + y*z^2", 3, None),
     ("x0^2 + x1^2 + x2^2 + x3^2", 4, None),
 ], ids=["Groebner", "rank", "separated"])
@@ -265,6 +270,17 @@ def test_hilbert_kunz_lengths_stop_past_deadline(f, nvars, gens):
     with pytest.raises(TimeoutError, match="time budget exhausted"):
         hk_length_sequence(ring, ideal, 1, deadline=time.monotonic() - 1)
     assert hk_length_sequence(ring, ideal, 1, deadline=time.monotonic() + 60)[0] > 0
+
+
+def test_a_refused_level_keeps_the_finished_records():
+    # the engine refuses q = 3^11 > 2^17; e = 1..10 are (q^2 + 1)/2
+    with pytest.raises(LevelRefused, match="too large for the separated engine") as refused:
+        fsig_sequence(a1_surface(), e_max=12)
+    assert [r.a_e for r in refused.value.records] == [(9**e + 1) // 2 for e in range(1, 11)]
+    # a refusal at e = 1 has nothing to carry and stays a plain ValueError
+    with pytest.raises(ValueError, match="floor must be zero") as refused:
+        fsig_sequence(a1_surface(), PairDivisor.of([(a1_surface().f, 1)]), e_max=2)
+    assert not isinstance(refused.value, LevelRefused)
 
 
 def test_sfr_witness_immediate_for_f_pure():

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from fsig.sebastiani import (
     separated_colength,
     separated_splitting_number,
 )
-from fsig.toric import quotient_singularity, toric_splitting_number
+from fsig.toric import TorusQDivisor, quotient_singularity, toric_splitting_number
 
 from _oracles import brute_block_matrix, brute_det, brute_jordan_product, iter_box_monomials
 
@@ -224,11 +225,19 @@ def test_engine_refuses_large_products_before_their_loop(text, names, e):
     assert time.monotonic() - started < 2
 
 
-def test_a_pair_keeps_the_rank_route(monkeypatch):
+def test_a_pair_takes_the_engine(monkeypatch):
     ring = hypersurface("x*y - z^2", XYZ, 3)
     delta = frobenius.PairDivisor.of([(parse_polynomial("x + z", 3, 3, names=XYZ), "1/3")])
-    monkeypatch.setattr(frobenius, "separated_splitting_number", None)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return separated_splitting_number(*args, **kwargs)
+
+    monkeypatch.setattr(frobenius, "separated_splitting_number", counted)
+    monkeypatch.setattr(frobenius, "multiplication_rank", None)
     assert [r.a_e for r in fsig_sequence(ring, delta, e_max=3).records] == [2, 18, 162]
+    assert [r for ((_, r),) in calls] == [1, 3, 9]
 
 
 def test_colength_matches_rank_route_on_random_separated_f():
@@ -404,3 +413,200 @@ def test_quadric_pins_past_the_box_cap():
     ring = hypersurface(QUADRIC + " + x0*x1", X4, 3)
     a_e = [splitting_number(ring, e=e) for e in (1, 2, 3, 4)]
     assert a_e == [15, 369, 9855, 265761] == [q * (q**2 + 1) // 2 for q in (3, 9, 27, 81)]
+
+
+# -- twists of pairs and gap lengths --------------------------------------------------
+
+CONVENTIONS = (frobenius.FLOOR_PE, frobenius.CEIL_PE_MINUS_1)
+
+
+def twist_rank(ring, delta, e, extra=None):
+    """The rank of the built twist (times ``extra``) on P/m^[q], by ``multiplication_rank``."""
+    q, g, factors = frobenius._twist(ring, delta, e)
+    if extra is not None:
+        g, factors = g * extra, factors + (extra,)
+    return multiplication_rank(g, (q,) * ring.nvars, find_positive_weights(*factors))
+
+
+def engine_of_pair(ring, delta, e):
+    q = ring.p**e
+    return separated_splitting_number(ring.f, q, frobenius._pair_factors(ring, delta, q))
+
+
+def random_coefficient(rng):
+    d = rng.randint(2, 7)
+    return Fraction(rng.randrange(1, d), d)
+
+
+def random_linear_form(rng, p, nvars):
+    """A nonzero linear form over GF(p); a quarter of them are one variable."""
+    if rng.random() < 1 / 4:
+        return Polynomial.variable(rng.randrange(nvars), p, nvars) * rng.randrange(1, p)
+    coeffs = [rng.randrange(p) for _ in range(nvars)]
+    coeffs[rng.randrange(nvars)] = rng.randrange(1, p)
+    return Polynomial(p, nvars, {tuple(int(i == j) for j in range(nvars)): c for i, c in enumerate(coeffs)})
+
+
+def test_monomial_pairs_match_the_rank_route():
+    # x^beta P/m^[q] = P/(x_i^(q - beta_i)); a cap <= 0 makes the twist 0 in P/m^[q]
+    rng = random.Random(20264)
+    matched = zero_caps = declined = 0
+    for _ in range(40):
+        p = rng.choice([3, 5, 7])
+        nvars = rng.randint(2, 3)
+        if rng.random() < 2 / 3:
+            f = random_separated(rng, p, nvars, rng.randint(1, nvars))
+        else:
+            f = random_quadratic_form(rng, p, nvars)
+            if f.is_zero():
+                continue
+        ring = RingPresentation.hypersurface(f)
+        components = []
+        for _ in range(rng.randint(1, 2)):
+            exps = [rng.randint(0, 2) for _ in range(nvars)]
+            exps[rng.randrange(nvars)] = rng.randint(1, 2)
+            g = Polynomial(p, nvars, {tuple(exps): rng.randrange(1, p)})
+            components.append((g, random_coefficient(rng)))
+        for convention in CONVENTIONS:
+            delta = frobenius.PairDivisor.of(components, convention)
+            for e in (1, 2):
+                q = p**e
+                if q**nvars > 20_000:
+                    break
+                engine = engine_of_pair(ring, delta, e)
+                if engine is None:
+                    assert _separated_support(f) is None, (f.terms, components)
+                    declined += 1
+                    continue
+                assert engine == twist_rank(ring, delta, e), (f.terms, components, convention, e)
+                matched += 1
+                beta = [sum(r * next(iter(g.terms))[i] for g, r in frobenius._pair_factors(ring, delta, q))
+                        for i in range(nvars)]
+                zero_caps += max(beta) >= q
+    assert matched > 80 and zero_caps > 10 and declined > 5
+
+
+def test_linear_pairs_on_quadratic_forms_match_the_rank_route():
+    # l is made a coordinate u while every cap is q; then u's cap is q - r
+    rng = random.Random(20265)
+    kinds = Counter()
+    for _ in range(50):
+        p = rng.choice([3, 5, 7])
+        nvars = rng.randint(2, 3)
+        f = random_quadratic_form(rng, p, nvars)
+        if f.is_zero():
+            continue
+        ring = RingPresentation.hypersurface(f)
+        ell = random_linear_form(rng, p, nvars)
+        form = diagonal_form(f, keep=ell)
+        u = min(m.index(1) for m in ell.terms)
+        kinds["degenerate" if len(diagonal_form(f).terms) < nvars else "nondegenerate"] += 1
+        kinds["u*v" if any(m[u] == 1 for m in form.terms) else "u^2" if any(m[u] for m in form.terms)
+              else "no u"] += 1
+        for convention in CONVENTIONS:
+            delta = frobenius.PairDivisor.of([(ell, random_coefficient(rng))], convention)
+            for e in (1, 2):
+                if p ** (e * nvars) > 20_000:
+                    break
+                assert engine_of_pair(ring, delta, e) == twist_rank(ring, delta, e), (f.terms, ell.terms, e)
+    # u*v: l isotropic for the inverse form; u^2: anisotropic
+    assert min(kinds.values()) >= 5 and len(kinds) == 5, kinds
+
+
+def test_kept_coordinate_normal_form_keeps_the_rank():
+    rng = random.Random(20266)
+    for _ in range(100):
+        p = rng.choice([3, 5, 7, 11])
+        f = random_quadratic_form(rng, p, rng.randint(1, 5))
+        if f.is_zero():
+            continue
+        form = diagonal_form(f, keep=random_linear_form(rng, p, f.nvars))
+        assert all(sum(m) == 2 for m in form.terms)
+        assert _separated_support(form) is not None, form.terms
+        rank = sum(2 if max(m) == 1 else 1 for m in form.terms)
+        assert rank == rank_mod_p_reference(form_matrix(f), p), (f.terms, form.terms)
+
+
+@pytest.mark.parametrize("text, p, factors", [
+    ("x*y - z^2", 3, (("x + y", 1), ("y + z", 2))),
+    ("x*y - z^2", 3, (("x", 1), ("y + z", 1))),
+    ("x^2 + y^3 + z^5", 7, (("x + y", 1),)),
+    ("x*y - z^2", 2, (("x + z", 1),)),
+    ("x*y - z^2", 3, (("x + y^2", 1),)),
+    (NOT_SEPARATED, 3, (("x", 1),)),
+], ids=["two-linear", "monomial-and-linear", "linear-on-a-cubic", "p2", "not-linear", "f-declined"])
+def test_engine_declines_other_twists(text, p, factors):
+    f = parse_polynomial(text, p, 3, names=XYZ)
+    pairs = [(parse_polynomial(g, p, 3, names=XYZ), r) for g, r in factors]
+    assert separated_splitting_number(f, p**2, pairs) is None
+
+
+def no_engine(*args, **kwargs):
+    raise AssertionError("the separated engine was called")
+
+
+def test_regular_ring_pairs_keep_the_rank_route(monkeypatch):
+    ring = RingPresentation.regular(3, 2)
+    delta = frobenius.PairDivisor.of([(parse_polynomial("x0", 3, 2), "1/3")])
+    monkeypatch.setattr(frobenius, "separated_splitting_number", no_engine)
+    # (x0^3) m^[9] has colength 9 * 6
+    assert splitting_number(ring, delta, 2) == 54
+
+
+@pytest.mark.parametrize("kind, text, p, e_max, pair", [
+    ("ctrick", "z", 3, 3, ()),
+    ("ctrick", "x + y", 3, 3, ()),
+    ("perturbed", "x", 3, 3, ()),
+    ("perturbed", "x + y", 5, 2, ()),
+    ("perturbed", "x", 3, 3, (("z", "1/2"),)),
+])
+def test_gap_sequences_match_the_rank_route(monkeypatch, kind, text, p, e_max, pair):
+    ring = hypersurface("x*y - z^2", XYZ, p)
+    h = parse_polynomial(text, p, 3, names=XYZ)
+    delta = frobenius.PairDivisor.of([(parse_polynomial(g, p, 3, names=XYZ), t) for g, t in pair])
+
+    def gaps():
+        if kind == "ctrick":
+            return frobenius.ctrick_gap_sequence(ring, h, e_max)
+        extra = frobenius.PairDivisor.of([(h, 1)])
+        return list(frobenius.perturbed_limit_check(ring, delta, extra, e_max).gaps)
+
+    taken = []
+
+    def counted(f, q, factors=(), deadline=None):
+        rank = separated_splitting_number(f, q, factors, deadline)
+        taken.append(rank is not None and len(factors) > 0)
+        return rank
+
+    monkeypatch.setattr(frobenius, "separated_splitting_number", counted)
+    engine = gaps()
+    assert sum(taken) >= e_max
+    monkeypatch.setattr(frobenius, "separated_splitting_number", lambda *args, **kwargs: None)
+    assert gaps() == engine
+    for e, gap in enumerate(engine, 1):
+        q = p**e
+        expected = twist_rank(ring, delta, e) - twist_rank(ring, delta, e, h)
+        assert gap == Fraction(expected, q**2)
+
+
+def test_colon_route_of_a_pair_never_calls_the_engine(monkeypatch):
+    ring = hypersurface("x*y - z^2", XYZ, 3)
+    delta = frobenius.PairDivisor.of([(parse_polynomial("x + z", 3, 3, names=XYZ), "1/3")])
+    engine = splitting_number(ring, delta, 2)
+    monkeypatch.setattr(frobenius, "separated_splitting_number", no_engine)
+    assert splitting_number(ring, delta, 2, method="colon") == engine == 18
+
+
+def test_monomial_pair_matches_the_window_count_past_the_box_cap():
+    # (x*y - z^2, x/3) is 1/2(1,1) with facet coefficients (2/3, 0); q*t is an
+    # integer at p = 3, and the count is (q^2 + 3)/6
+    ring = hypersurface("x*y - z^2", XYZ, 3)
+    delta = frobenius.PairDivisor.of([(parse_polynomial("x", 3, 3, names=XYZ), "1/3")])
+    model = quotient_singularity(2, (1, 1), 3)
+    facets = TorusQDivisor.of(["2/3", "0"])
+    for e in range(1, 7):
+        q = 3**e
+        a_e = splitting_number(ring, delta, e)
+        assert a_e == toric_splitting_number(model, facets, e) == (q * q + 3) // 6
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        twist_rank(ring, delta, 6)
