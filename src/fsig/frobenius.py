@@ -330,7 +330,7 @@ def fsig_sequence(
     window counts, a RingPresentation (with a PairDivisor) from
     ``splitting_number``.  ``deadline`` is checked before each e, before
     each level of a window count's lattice walk, and on a presentation
-    before each graded block or during each tensor product; past it
+    before each graded block or in the separated engine's walk; past it
     ``BudgetExceeded`` carries the records finished so far.  A level
     refused with ``ValueError`` (too large for every route) after others
     finished raises ``LevelRefused``, which carries their records.
@@ -523,8 +523,8 @@ def hk_length_sequence(
     p with every a_i q the same power of p, and otherwise prod a_i q less
     the rank of f on the box (``multiplication_rank``).  Any other ideal
     takes the Groebner route, lambda(P/(I^[q] + (f))).  Past ``deadline``
-    the rank, the Groebner basis and count, and the engine's tensor
-    products raise ``TimeoutError``.
+    the rank, the Groebner basis and count, and the engine's walk raise
+    ``TimeoutError``.
     """
     if ideal.p != ring.p or ideal.nvars != ring.nvars:
         raise ValueError("ideal lives in a different ambient ring")

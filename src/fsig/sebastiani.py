@@ -42,10 +42,13 @@ factor of a gap length) is taken in two kinds:
 Every other twist is declined.
 
 A Jordan type is a dict {block size: multiplicity}.  The types of the
-terms are closed forms; two types multiply through the table of
-``block_product``, and the last two are read only through their free
-summands (``free_count``) or their block count (``block_count``).  A unit
-coefficient does not change a Jordan type.
+terms are closed forms, and so is J_a (x) J_b (``block_product``): the
+k-th power of x + y on k[x,y]/(x^a, y^b) has rank r_k = ab - l(k), with
+Han's colength 4 l(k) = 2(ab + bk + ka) - a^2 - b^2 - k^2 + delta^2
+(``han_colength``), and r_(L-1) - 2 r_L + r_(L+1) blocks have size L.
+Two types multiply pair by pair; the last two are read only through
+their free summands (``free_count``) or block count (``block_count``).
+A unit coefficient does not change a Jordan type.
 """
 
 from __future__ import annotations
@@ -53,20 +56,20 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from itertools import accumulate
 from typing import Sequence
-
-import numpy as np
 
 from .poly import Polynomial
 
 # q bounds the O(q) loops and dicts below.  One tensor product pairs at
-# most _MAX_PAIRS block sizes, and the eliminations of one a_e (b steps on
-# a b x b matrix, b^3 cells; b = 1094 takes a few seconds) touch at most
-# _MAX_CELLS cells.
+# most _MAX_PAIRS block sizes, and the distinct J_a (x) J_b of one walk
+# take at most _MAX_STEPS steps, min(a, b) each: about twice that many
+# ranks, and at most twice that many sizes kept in the walk's memo.
 _MAX_Q = 1 << 17
 _MAX_PAIRS = 1 << 16
-_MAX_CELLS = 1 << 32
+_MAX_STEPS = 1 << 22
 _TOO_LARGE = "the tensor products are too large for the separated engine"
+_TIMEOUT = "time budget exhausted during a tensor product walk"
 
 
 def separated_splitting_number(
@@ -82,9 +85,10 @@ def separated_splitting_number(
     quadratic form at odd p; ``factors`` are pairs (g, r) with r > 0,
     either all monomials or one linear form on a quadratic f at odd p
     (see the module docstring).  Past ``deadline`` (a ``time.monotonic()``
-    value, checked during every product) it raises ``TimeoutError``.  A q
-    past ``_MAX_Q`` raises ``ValueError`` before any loop, and so does a
-    tensor product past the limits on pairs and cells before its own loop.
+    value, checked before the walk and every 1024 ranks of a product) it
+    raises ``TimeoutError``.  ``ValueError`` comes before any loop for a q
+    past ``_MAX_Q``, and before a product's loop when it pairs more than
+    ``_MAX_PAIRS`` sizes or the walk's products pass ``_MAX_STEPS``.
     """
     caps = [q] * f.nvars
     if len(factors) == 1 and _is_form(factors[0][0], 1) and _is_form(f, 2) and f.p % 2:
@@ -99,12 +103,8 @@ def separated_splitting_number(
         return None
     if min(caps) <= 0:
         return 0
-    walk = _last_types(f, tuple(caps), deadline)
-    if walk is None:
-        return None
-    types, unused = walk
-    free = types[0].get(q, 0) if len(types) == 1 else free_count(*types, q)
-    return free * unused
+    types = _last_types(f, tuple(caps), deadline)
+    return None if types is None else free_count(*types, q)
 
 
 def separated_colength(f: Polynomial, caps: tuple[int, ...], deadline: float | None = None) -> int | None:
@@ -115,25 +115,21 @@ def separated_colength(f: Polynomial, caps: tuple[int, ...], deadline: float | N
     caps must be positive; the refusals and the ``deadline`` are those of
     ``separated_splitting_number``, with the largest cap in place of q.
     """
-    walk = _last_types(f, caps, deadline)
-    if walk is None:
-        return None
-    types, unused = walk
-    blocks = sum(types[0].values()) if len(types) == 1 else block_count(*types)
-    return blocks * unused
+    types = _last_types(f, caps, deadline)
+    return None if types is None else block_count(*types)
 
 
 def _last_types(
     f: Polynomial, caps: tuple[int, ...], deadline: float | None
-) -> tuple[list[dict[int, int]], int] | None:
-    """The last one or two Jordan types of f's terms on P/(x_i^(caps_i)).
+) -> tuple[dict[int, int], dict[int, int]] | None:
+    """Two Jordan types whose product is the type of f on P/(x_i^(caps_i)).
 
     Balanced pairwise tensor products reduce the terms' types to at most
-    two; the second value is the product of the caps of the variables f
-    does not use.  A quadratic form that is not separated is replaced by
-    ``diagonal_form(f)`` when p is odd and every cap is the same power of
-    p (see the module docstring).  None when f is not separated and that
-    does not apply.
+    two; J_1 stands in for a missing second, and the first counts every
+    block once per monomial in the variables f does not use.  A quadratic
+    form that is not separated is replaced by ``diagonal_form(f)`` when p
+    is odd and every cap is the same power of p (see the module
+    docstring).  None when f is not separated and that does not apply.
     """
     used = _separated_support(f)
     if used is None and f.p % 2 and _is_form(f, 2) and _same_power(caps, f.p):
@@ -146,13 +142,16 @@ def _last_types(
             f"exponent cap {max(caps)} is too large for the separated engine"
             f" (at most {_MAX_Q}; at m^[q] the cap is q)"
         )
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError(_TIMEOUT)
     types = sorted((monomial_type(m, caps) for m in f.terms), key=len)
-    table = _ProductTable(f.p, deadline)
+    memo: dict[tuple[int, int], dict[int, int]] = {}
     while len(types) > 2:
         # neighbours pairwise, so the factors of each product stay balanced
-        types = [table.tensor(*types[i : i + 2]) if i + 1 < len(types) else types[i]
+        types = [_tensor(*types[i : i + 2], f.p, memo, deadline) if i + 1 < len(types) else types[i]
                  for i in range(0, len(types), 2)]
-    return types, math.prod(c for i, c in enumerate(caps) if i not in used)
+    unused = math.prod(c for i, c in enumerate(caps) if i not in used)
+    return {size: n * unused for size, n in types[0].items()}, types[1] if len(types) > 1 else {1: 1}
 
 
 def _separated_support(f: Polynomial) -> set[int] | None:
@@ -262,69 +261,80 @@ def monomial_type(m: tuple[int, ...], caps: tuple[int, ...]) -> dict[int, int]:
     pairs = [(e, c) for e, c in zip(m, caps) if e]
     top = min(-(-c // e) for e, c in pairs)
     ranks = [math.prod(r) for r in zip(*([c - k * e for k in range(top)] for e, c in pairs))]
-    ranks += [0, 0]
+    return _jordan_type(ranks + [0, 0], 0)
+
+
+def _jordan_type(ranks: list[int], low: int) -> dict[int, int]:
+    """The type of rank ranks[k - low] on the k-th power: r_(L-1) - 2 r_L + r_(L+1) blocks of size L."""
     jordan = {}
-    for size in range(1, len(ranks) - 1):
-        count = ranks[size - 1] - 2 * ranks[size] + ranks[size + 1]
+    for i in range(1, len(ranks) - 1):
+        count = ranks[i - 1] - 2 * ranks[i] + ranks[i + 1]
         if count:
-            jordan[size] = count
+            jordan[low + i] = count
     return jordan
 
 
 def block_product(a: int, b: int, p: int, deadline: float | None = None) -> dict[int, int]:
-    """Jordan type of J_a(x)1 + 1(x)J_b over GF(p).
+    """Jordan type of J_a(x)1 + 1(x)J_b over GF(p), from closed-form ranks.
 
-    For a >= b put u = x + y: k[x,y]/(x^a, y^b) is the cokernel of
-    (u - y)^a on the free k[u]-module with basis 1, y, .., y^(b-1).
-    Entry (r, c) of that matrix is (-1)^(r-c) C(a, r-c) u^(a-r+c), so the
-    matrix is homogeneous: a pivot of least u-valuation divides every
-    entry, and eliminating with it keeps the pattern.  Its Smith form is
-    one elimination over GF(p) in order of valuation, and the valuations
-    of the pivots are the block sizes.
+    The k-th power of x + y on k[x,y]/(x^a, y^b) has rank r_k = ab - l(k)
+    with 4 l(k) = 2(ab + bk + ka) - a^2 - b^2 - k^2 + delta^2
+    (``han_colength``), and r_(L-1) - 2 r_L + r_(L+1) blocks have size L.
+    For a >= b, r_k = b(a - k) while k <= a - b, so every block is longer
+    than a - b, and only the ranks from k = a - b on are computed.  Past
+    ``deadline``, checked every 1024 ranks, it raises ``TimeoutError``.
     """
-    if a < b:
-        a, b = b, a
-    index = np.arange(b)
-    binom = np.array([(-1) ** k * math.comb(a, k) % p for k in range(b)], dtype=np.int64)
-    offset = index[:, None] - index[None, :]
-    mat = np.where(offset >= 0, binom[np.maximum(offset, 0)], 0)
-    sizes: Counter[int] = Counter()
-    for _ in range(b):
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("time budget exhausted during a tensor product")
-        # the least valuation a - r + c: per column its lowest nonzero row r
-        nonzero = mat != 0
-        lowest = b - 1 - np.argmax(nonzero[::-1], axis=0)
-        c = int(np.argmax(np.where(nonzero.any(axis=0), lowest - index, -b)))
-        r = int(lowest[c])
-        sizes[a - r + c] += 1
-        rows = nonzero[:, c].nonzero()[0]
-        rows = rows[rows != r]
-        if rows.size:
-            factor = mat[rows, c] * pow(int(mat[r, c]), p - 2, p) % p
-            block = mat[rows]
-            block -= factor[:, None] * mat[r]
-            block %= p
-            mat[rows] = block
-        mat[r] = 0
-        mat[:, c] = 0
-    return dict(sizes)
+    a, b = max(a, b), min(a, b)
+    low = a - b
+    ranks = []
+    for k in range(low, a + b + 1):
+        if (k - low) % 1024 == 0 and deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError(_TIMEOUT)
+        ranks.append(a * b - han_colength(a, b, k, p))
+    return _jordan_type(ranks, low)
+
+
+def han_colength(a: int, b: int, c: int, p: int) -> int:
+    """lambda(k[x,y]/(x^a, y^b, (x+y)^c)) over GF(p), by Han's formula (Han-Monsky 1993).
+
+    4 lambda = 2(ab + bc + ca) - a^2 - b^2 - c^2 + delta^2.  delta is the
+    excess of the largest of a, b, c over the sum of the others, if any;
+    else q - d for the largest power q of p with d < q, where d is the
+    taxicab distance from (a, b, c) to the nearest q u with u integral of
+    odd coordinate sum; else 0.  That u rounds each coordinate to a nearest
+    multiple of q, and, when its sum is even, moves to the other side the
+    coordinate k_i that costs least, q - 2 |k_i - q u_i|.
+    """
+    ks = (a, b, c)
+    top = max(ks)
+    delta = 2 * top - a - b - c
+    if delta < 0:
+        delta, q = 0, 1
+        while q <= top:
+            q *= p
+        while q and not delta:
+            dist, move, odd = 0, q, 0
+            for k in ks:
+                u, r = divmod(k, q)
+                if 2 * r > q:
+                    u, r = u + 1, q - r
+                dist, move, odd = dist + r, min(move, q - 2 * r), odd + u
+            if odd % 2 == 0:
+                dist += move
+            delta = max(q - dist, 0)
+            q //= p
+    return (2 * (a * b + b * c + c * a) - a * a - b * b - c * c + delta * delta) // 4
 
 
 def free_count(left: dict[int, int], right: dict[int, int], q: int) -> int:
     """Blocks of size q in left (x) right, for types with blocks of size <= q.
 
-    J_a (x) J_b holds max(0, a + b - q) of them, so the count is the sum
-    over a of n_a (sum over b > q - a of n_b (a + b - q)), read from
-    suffix sums of n_b and b n_b.
+    J_a (x) J_b holds max(0, a + b - q) = a - min(a, q - b) of them: sum n_a a
+    times sum n_b, less the blocks of left (x) J_(q - b), where J_0 has none.
     """
-    count, weight = [0] * (q + 2), [0] * (q + 2)
-    for b, n in right.items():
-        count[b], weight[b] = n, b * n
-    for size in range(q, 0, -1):
-        count[size] += count[size + 1]
-        weight[size] += weight[size + 1]
-    return sum(n * (weight[q - a + 1] + (a - q) * count[q - a + 1]) for a, n in left.items())
+    mirror = {q - b: n for b, n in right.items()}
+    total = sum(a * n for a, n in left.items()) * sum(right.values())
+    return total - block_count(left, mirror)
 
 
 def block_count(left: dict[int, int], right: dict[int, int]) -> int:
@@ -335,38 +345,27 @@ def block_count(left: dict[int, int], right: dict[int, int]) -> int:
     the s <= a with s <= b, so the count is the sum over a of n_a times
     the prefix sum up to a of (blocks of right of size >= s).
     """
-    top = max(right)
-    reach = [0] * (top + 1)
-    for b, n in right.items():
-        reach[b] = n
-    for size in range(top - 1, 0, -1):  # blocks of right of size >= size
-        reach[size] += reach[size + 1]
-    for size in range(2, top + 1):  # those counts summed over 1..size
-        reach[size] += reach[size - 1]
+    top = max(right, default=0)
+    # blocks of right of size >= s, for s from top down to 1
+    at_least = list(accumulate(right.get(s, 0) for s in range(top, 0, -1)))
+    # reach[s]: those counts summed over 1..s
+    reach = [0, *accumulate(reversed(at_least))]
     return sum(n * reach[min(a, top)] for a, n in left.items())
 
 
-class _ProductTable:
-    """Tensor products of Jordan types, each ``block_product`` computed once."""
-
-    def __init__(self, p: int, deadline: float | None):
-        self.p = p
-        self.deadline = deadline
-        self.types: dict[tuple[int, int], dict[int, int]] = {}
-        self.cells = 0
-
-    def tensor(self, left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
-        if len(left) * len(right) > _MAX_PAIRS:
-            raise ValueError(_TOO_LARGE)
-        new = {(min(a, b), max(a, b)) for a in left for b in right} - self.types.keys()
-        self.cells += sum(key[0] ** 3 for key in new)
-        if self.cells > _MAX_CELLS:
-            raise ValueError(_TOO_LARGE)
-        for key in new:
-            self.types[key] = block_product(*key, self.p, self.deadline)
-        out: Counter[int] = Counter()
-        for a, m in left.items():
-            for b, n in right.items():
-                for size, k in self.types[min(a, b), max(a, b)].items():
-                    out[size] += m * n * k
-        return dict(out)
+def _tensor(left: dict[int, int], right: dict[int, int], p: int, memo: dict,
+            deadline: float | None) -> dict[int, int]:
+    """left (x) right, each ``block_product`` computed once per walk and kept in ``memo``."""
+    if len(left) * len(right) > _MAX_PAIRS:
+        raise ValueError(_TOO_LARGE)
+    new = {(min(a, b), max(a, b)) for a in left for b in right} - memo.keys()
+    if sum(key[0] for key in new) + sum(key[0] for key in memo) > _MAX_STEPS:
+        raise ValueError(_TOO_LARGE)
+    for key in new:
+        memo[key] = block_product(*key, p, deadline)
+    out: Counter[int] = Counter()
+    for a, m in left.items():
+        for b, n in right.items():
+            for size, k in memo[min(a, b), max(a, b)].items():
+                out[size] += m * n * k
+    return dict(out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
@@ -155,6 +156,44 @@ def brute_jordan_product(a: int, b: int, p: int) -> dict[int, int]:
     ranks.append(0)
     counts = {size: ranks[size - 1] - 2 * ranks[size] + ranks[size + 1] for size in range(1, len(ranks) - 1)}
     return {size: count for size, count in counts.items() if count}
+
+
+def elimination_block_product(a: int, b: int, p: int) -> dict[int, int]:
+    """Jordan type of J_a (x) 1 + 1 (x) J_b over GF(p), by a Smith form.
+
+    For a >= b put u = x + y: k[x,y]/(x^a, y^b) is the cokernel of
+    (u - y)^a on the free k[u]-module with basis 1, y, .., y^(b-1).
+    Entry (r, c) of that matrix is (-1)^(r-c) C(a, r-c) u^(a-r+c), so the
+    matrix is homogeneous: a pivot of least u-valuation divides every
+    entry, and eliminating with it keeps the pattern.  Its Smith form is
+    one elimination over GF(p) in order of valuation, and the valuations
+    of the pivots are the block sizes.
+    """
+    if a < b:
+        a, b = b, a
+    index = np.arange(b)
+    binom = np.array([(-1) ** k * math.comb(a, k) % p for k in range(b)], dtype=np.int64)
+    offset = index[:, None] - index[None, :]
+    mat = np.where(offset >= 0, binom[np.maximum(offset, 0)], 0)
+    sizes: Counter[int] = Counter()
+    for _ in range(b):
+        # the least valuation a - r + c: per column its lowest nonzero row r
+        nonzero = mat != 0
+        lowest = b - 1 - np.argmax(nonzero[::-1], axis=0)
+        c = int(np.argmax(np.where(nonzero.any(axis=0), lowest - index, -b)))
+        r = int(lowest[c])
+        sizes[a - r + c] += 1
+        rows = nonzero[:, c].nonzero()[0]
+        rows = rows[rows != r]
+        if rows.size:
+            factor = mat[rows, c] * pow(int(mat[r, c]), p - 2, p) % p
+            block = mat[rows]
+            block -= factor[:, None] * mat[r]
+            block %= p
+            mat[rows] = block
+        mat[r] = 0
+        mat[:, c] = 0
+    return dict(sizes)
 
 
 def brute_block_matrix(

@@ -107,9 +107,9 @@ def test_compute_quadric_past_the_box_cap(tmp_path):
 
 
 def test_compute_budget_stops_the_separated_engine(tmp_path, capsys):
-    # e <= 6 takes well under a second; each product of e = 7 takes seconds
+    # e <= 8 takes about a second in all, e = 9 about two and e = 10 several
     started = time.monotonic()
-    code, report = run(tmp_path, "compute", QUADRIC_P3, "--e-max", "7", "--budget", "1")
+    code, report = run(tmp_path, "compute", QUADRIC_P3, "--e-max", "10", "--budget", "1")
     assert code == 3
     assert report is None
     assert "budget exhausted: time budget exhausted during e = " in capsys.readouterr().err

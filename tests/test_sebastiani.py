@@ -10,7 +10,7 @@ import pytest
 
 from fsig import frobenius
 from fsig.frobenius import RingPresentation, fsig_sequence, hk_length_sequence, splitting_number
-from fsig.ideals import Ideal
+from fsig.ideals import Ideal, quotient_length
 from fsig.linalg import find_positive_weights, multiplication_rank, rank_mod_p_reference
 from fsig.poly import Polynomial, parse_polynomial
 from fsig.sebastiani import (
@@ -19,13 +19,20 @@ from fsig.sebastiani import (
     block_product,
     diagonal_form,
     free_count,
+    han_colength,
     monomial_type,
     separated_colength,
     separated_splitting_number,
 )
 from fsig.toric import TorusQDivisor, quotient_singularity, toric_splitting_number
 
-from _oracles import brute_block_matrix, brute_det, brute_jordan_product, iter_box_monomials
+from _oracles import (
+    brute_block_matrix,
+    brute_det,
+    brute_jordan_product,
+    elimination_block_product,
+    iter_box_monomials,
+)
 
 XYZ = ("x", "y", "z")
 X4 = ("x0", "x1", "x2", "x3")
@@ -96,6 +103,32 @@ def test_block_product_matches_brute_types(p):
     for a in range(1, 13):
         for b in range(1, 13):
             assert block_product(a, b, p) == brute_jordan_product(a, b, p), (a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_block_product_matches_the_elimination(p):
+    for a in range(1, 41):
+        for b in range(1, a + 1):
+            jordan = elimination_block_product(a, b, p)
+            assert block_product(a, b, p) == block_product(b, a, p) == jordan, (a, b)
+
+
+def test_block_product_matches_the_elimination_on_seeded_pairs():
+    rng = random.Random(18)
+    for _ in range(30):
+        p, a, b = rng.choice([2, 3, 5, 7, 11, 13]), rng.randint(1, 400), rng.randint(1, 400)
+        assert block_product(a, b, p) == elimination_block_product(a, b, p), (a, b, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_han_colength_matches_the_groebner_length(p):
+    # c up to 12 > a + b puts the triangle violations (x+y)^c = 0 and c <= |a - b| in range
+    names = ("x", "y")
+    for a in range(1, 7):
+        for b in range(1, 7):
+            for c in range(1, 13):
+                gens = [parse_polynomial(t, p, 2, names=names) for t in (f"x^{a}", f"y^{b}", f"(x + y)^{c}")]
+                assert han_colength(a, b, c, p) == quotient_length(Ideal(p, 2, gens)), (a, b, c)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -188,8 +221,11 @@ def test_a_n_surfaces_match_window_counts(p, n):
 
 
 def test_engine_reaches_past_the_box_cap():
-    assert splitting_number(hypersurface(QUADRIC, X4, 3), e=4) == (2 * 81**3 + 81) // 3 == 354321
-    assert splitting_number(hypersurface("x^2 + y^3 + z^5", XYZ, 7), e=3) == 982
+    quadric = hypersurface(QUADRIC, X4, 3)
+    assert splitting_number(quadric, e=4) == (2 * 81**3 + 81) // 3 == 354321
+    assert splitting_number(quadric, e=8) == (2 * 6561**3 + 6561) // 3 == 188286359841
+    e8 = hypersurface("x^2 + y^3 + z^5", XYZ, 7)
+    assert [splitting_number(e8, e=e) for e in (3, 4)] == [982, 48041]
 
 
 @pytest.mark.parametrize("text", [NOT_SEPARATED, "x^2*y + y^2*z + z^2*x", "x*y - z^2 + 1"])
@@ -205,6 +241,23 @@ def test_engine_stops_past_deadline():
         splitting_number(ring, e=3, deadline=time.monotonic() - 1)
 
 
+def test_two_term_walks_stop_past_deadline():
+    # x*y - z^2 has two terms, so its walk takes no tensor product
+    ring = hypersurface("x*y - z^2", XYZ, 3)
+    with pytest.raises(TimeoutError, match="during a tensor product"):
+        splitting_number(ring, e=3, deadline=time.monotonic() - 1)
+    with pytest.raises(TimeoutError, match="during a tensor product"):
+        hk_length_sequence(ring, ring.maximal_ideal(), 2, deadline=time.monotonic() - 1)
+
+
+def test_engine_stops_inside_a_tensor_product():
+    ring = hypersurface(QUADRIC, X4, 3)
+    started = time.monotonic()
+    with pytest.raises(TimeoutError, match="during a tensor product"):
+        splitting_number(ring, e=10, deadline=started + 0.3)
+    assert time.monotonic() - started < 1
+
+
 def test_engine_refuses_a_huge_q_before_any_loop():
     ring = hypersurface("x*y - z^2", XYZ, 3)
     started = time.monotonic()
@@ -213,12 +266,13 @@ def test_engine_refuses_a_huge_q_before_any_loop():
     assert time.monotonic() - started < 1
 
 
-@pytest.mark.parametrize("text, names, e", [
-    (QUADRIC, X4, 8),  # J_3281 (x) J_3281 alone is past the cell cap
-    ("x0*x1 + x2*x3 + x4*x5", X4 + ("x4", "x5"), 9),  # 19683^2 pairs of sizes
+@pytest.mark.parametrize("text, names, p, e", [
+    # the product of the two halves pairs 106 x 106 sizes: 8.28M steps, past the step cap
+    ("x0^2 + x1^9 + x2^2 + x3^9 + x4^2", X4 + ("x4",), 5, 5),
+    ("x0*x1 + x2*x3 + x4*x5", X4 + ("x4", "x5"), 3, 9),  # 19683^2 pairs of sizes
 ])
-def test_engine_refuses_large_products_before_their_loop(text, names, e):
-    ring = hypersurface(text, names, 3)
+def test_engine_refuses_large_products_before_their_loop(text, names, p, e):
+    ring = hypersurface(text, names, p)
     started = time.monotonic()
     with pytest.raises(ValueError, match="tensor products are too large"):
         splitting_number(ring, e=e)
@@ -406,7 +460,8 @@ def test_engine_declines_quadrics_outside_its_normal_form(text, p, caps):
 
 def test_quadric_pins_past_the_box_cap():
     ring = hypersurface("x*y + y*z + z*x", XYZ, 7)
-    assert [splitting_number(ring, e=e) for e in (1, 2, 3)] == [25, 1201, 58825]
+    # nondegenerate ternary, so the type of x*y - z^2: a_4 = (q^2 + 1)/2
+    assert [splitting_number(ring, e=e) for e in (1, 2, 3, 4)] == [25, 1201, 58825, 2882401]
     with pytest.raises(ValueError, match="too large to enumerate"):
         rank_route(ring, 3)
     # x0^2 + x0*x1 + x1^2 = (x0 + 2*x1)^2 over GF(3): a form of rank 3
