@@ -40,25 +40,6 @@ class BoundReport:
     attained: bool | None = None
     note: str = ""
 
-    def core_json(self) -> dict:
-        """The five-field report every bound emits."""
-        return {
-            "s": f"{self.s.numerator}/{self.s.denominator}",
-            "exact": self.exact,
-            "bound": self.bound,
-            "prime_to_p": self.prime_to_p,
-            "theorem": self.theorem,
-        }
-
-    def details_json(self) -> dict:
-        """Attainment, note and provenance, with the intervals of an estimate."""
-        details = {"attained": self.attained, "note": self.note, "provisional": self.provisional}
-        if self.s_interval is not None:
-            details["s_interval"] = [f"{x.numerator}/{x.denominator}" for x in self.s_interval]
-        if self.bound_interval is not None:
-            details["bound_interval"] = list(self.bound_interval)
-        return details
-
 
 def pi1_order_bound(
     ring: RingPresentation | ToricRing,

@@ -3,7 +3,9 @@
 Reads a JSON spec document, hands its ring and options to the library
 (which picks the exact lattice backend or the splitting-number sequence
 backend), writes a deterministic JSON report (stdout or --out) and prints
-an aligned human table to stderr.
+an aligned human table to stderr.  Each handler picks its fields from the
+library's results and renders them once by ``serialize.report_json``; the
+table reads its cells from that report.
 Exit codes: 0 success, 2 input error, 3 budget exhausted, 4 verification
 failure.
 """
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import jsonschema
 
-from .bounds import BoundReport, index_bound, pi1_order_bound, purity_check, veronese_bound
+from .bounds import index_bound, pi1_order_bound, purity_check, veronese_bound
 from .covers import (
     NonEffectivePairError,
     VerificationFailure,
@@ -38,20 +40,18 @@ from .serialize import (
     build_pair,
     build_ring,
     canonical_json,
-    divisor_json,
-    fraction_string,
     parse_fraction_string,
+    report_json,
     strip_timing,
     validate_document,
 )
 from .toric import ToricRing, TorusQDivisor, quotient_singularity
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+def _table(headers: list[str], rows: list[list]) -> str:
+    """Aligned columns; a cell shows ``str`` of its report value."""
+    rows = [[str(cell) for cell in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
     def fmt(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     lines = [fmt(headers), fmt(["-" * w for w in widths])]
@@ -59,20 +59,18 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, table: str, out: str | None) -> None:
-    print(table, file=sys.stderr)
-    text = canonical_json(report)
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _fields(obj, *names: str) -> dict:
+    """The named attributes of a library result, as report fields."""
+    return {name: getattr(obj, name) for name in names}
 
 
-def _load_document(args) -> dict:
-    with open(args.spec) as handle:
-        doc = json.load(handle)
-    validate_document(doc)
-    return doc
+def _row(section: dict, *keys: str) -> list:
+    """The cells of a table row, read from a converted report section."""
+    return [section[key] for key in keys]
+
+
+def _decimal(x: Fraction) -> str:
+    return f"{float(x):.6f}"
 
 
 def _options(doc: dict, args) -> dict:
@@ -111,14 +109,6 @@ def _ring_request(doc: dict, args):
 # -- compute -----------------------------------------------------------------
 
 
-def _record_rows(records) -> list[list[str]]:
-    return [
-        [str(r.e), str(r.q), str(r.a_e), fraction_string(r.normalized),
-         f"{float(r.normalized):.6f}"]
-        for r in records
-    ]
-
-
 def cmd_compute(doc: dict, args) -> tuple[dict, str, int]:
     ring, delta, request = _ring_request(doc, args)
     value = fsig_value(ring, delta, **request)
@@ -129,25 +119,22 @@ def cmd_compute(doc: dict, args) -> tuple[dict, str, int]:
         "exact": value.exact,
     }
     if value.exact:
-        report["s"] = fraction_string(value.s)
-        table = _table(["s (exact)", "decimal"], [[report["s"], f"{float(value.s):.6f}"]])
-        return report, table, 0
+        report = report_json({**report, "s": value.s})
+        return report, _table(["s (exact)", "decimal"], [[report["s"], _decimal(value.s)]]), 0
     seq = value.sequence
-    extrapolated = seq.extrapolated
-    report.update({
+    report = report_json({
+        **report,
         "dimension": ring.d,
-        "records": [
-            {"e": r.e, "q": r.q, "a_e": r.a_e, "normalized": fraction_string(r.normalized)}
-            for r in seq.records
-        ],
-        "extrapolated": fraction_string(extrapolated) if extrapolated is not None else None,
-        "consistent": seq.consistent,
-        "monotone": seq.monotone,
-        "note": seq.note,
+        "records": [_fields(r, "e", "q", "a_e", "normalized") for r in seq.records],
+        **_fields(seq, "extrapolated", "consistent", "monotone", "note"),
     })
-    table = _table(["e", "q", "a_e", "a_e/q^d", "decimal"], _record_rows(seq.records))
-    if extrapolated is not None:
-        table += f"\nextrapolated: {fraction_string(extrapolated)} ~ {float(extrapolated):.6f}"
+    rows = [
+        [*_row(record, "e", "q", "a_e", "normalized"), _decimal(r.normalized)]
+        for record, r in zip(report["records"], seq.records)
+    ]
+    table = _table(["e", "q", "a_e", "a_e/q^d", "decimal"], rows)
+    if seq.extrapolated is not None:
+        table += f"\nextrapolated: {report['extrapolated']} ~ {_decimal(seq.extrapolated)}"
     return report, table, 0
 
 
@@ -163,90 +150,68 @@ def _build_cover_from_doc(cover_doc: dict):
     nvars = cover_doc.get("nvars", 2)
     idx = along_index(cover_doc["along"], nvars)
     cover = root_cover(nvars, idx, cover_doc["n"], cover_doc["p"])
-    delta = None
-    if "pair_t" in cover_doc:
-        t = parse_fraction_string(cover_doc["pair_t"])
-        coeffs = [Fraction(0)] * nvars
-        coeffs[idx] = t
-        delta = TorusQDivisor.of(coeffs)
-    return cover, delta
+    if "pair_t" not in cover_doc:
+        return cover, None
+    t = parse_fraction_string(cover_doc["pair_t"])
+    return cover, TorusQDivisor.of([t if i == idx else 0 for i in range(nvars)])
 
 
 def cmd_verify(doc: dict, args) -> tuple[dict, str, int]:
     if "cover" not in doc:
         raise ValueError("verify needs a cover")
     cover, delta = _build_cover_from_doc(doc["cover"])
-    checks: list[tuple[str, bool, str]] = []
     transformation = verify_transformation(cover, delta)
-    checks.append((
-        "transformation",
-        transformation.ok,
-        f"{transformation.residue_degree} * {fraction_string(transformation.s_upper)} = "
-        f"{transformation.degree} * {fraction_string(transformation.s_lower)}",
-    ))
     doubling = doubling_check(cover) if cover.etale_in_codim1 else None
-    if doubling is not None:
-        detail = "vacuous" if doubling.vacuous else (
-            f"{fraction_string(doubling.s_upper)} >= 2 * {fraction_string(doubling.s_lower)}"
-            + (" (equality)" if doubling.equality else "")
-        )
-        checks.append(("doubling", doubling.ok, detail))
-    trace_report = verify_note_trace(cover)
-    checks.append(("trace_in_maximal", trace_report.ok, f"{len(trace_report.rows)} generators"))
-    summands = count_trace_summands(cover)
-    expected_summands = cover.residue_degree if cover.trace.is_surjective() else 0
-    checks.append(("trace_summands", summands == expected_summands, f"count = {summands}"))
-    degree_ok = None
-    if "expected_degree" in doc["cover"]:
-        degree_ok = cover.degree == doc["cover"]["expected_degree"]
-        checks.append((
-            "degree_matches_spec",
-            degree_ok,
-            f"computed {cover.degree}, spec {doc['cover']['expected_degree']}",
-        ))
-    ok = all(passed for _, passed, _ in checks)
-    report = {
+    trace = verify_note_trace(cover)
+    expected_degree = doc["cover"].get("expected_degree")
+    report = report_json({
         "cover": doc["cover"],
-        "degree": cover.degree,
-        "residue_degree": cover.residue_degree,
-        "ram": divisor_json(cover.ram),
-        "etale_in_codim1": cover.etale_in_codim1,
-        "transformation": {
-            "ok": transformation.ok,
-            "s_lower": fraction_string(transformation.s_lower),
-            "s_upper": fraction_string(transformation.s_upper),
-            "lhs": fraction_string(transformation.lhs),
-            "rhs": fraction_string(transformation.rhs),
-            "delta_lower": divisor_json(transformation.delta_lower),
-            "delta_upper": divisor_json(transformation.delta_upper),
-        },
-        "doubling": None if doubling is None else {
-            "ok": doubling.ok,
-            "vacuous": doubling.vacuous,
-            "equality": doubling.equality,
-        },
+        **_fields(cover, "degree", "residue_degree", "ram", "etale_in_codim1"),
+        "transformation": _fields(
+            transformation, "ok", "s_lower", "s_upper", "lhs", "rhs", "delta_lower", "delta_upper"
+        ),
+        "doubling": None if doubling is None else _fields(doubling, "ok", "vacuous", "equality"),
         "trace": {
-            "ok": trace_report.ok,
-            "surjective": trace_report.surjective,
+            **_fields(trace, "ok", "surjective"),
             "rows": [
-                {
-                    "generator": list(r.generator_ambient),
-                    "in_lower_lattice": r.in_lower_lattice,
-                    "coefficient_mod_p": r.coefficient_mod_p,
-                }
-                for r in trace_report.rows
+                {"generator": r.generator_ambient, **_fields(r, "in_lower_lattice", "coefficient_mod_p")}
+                for r in trace.rows
             ],
         },
-        "trace_summands": summands,
-        "degree_matches_spec": degree_ok,
-        "ok": ok,
-    }
+        "trace_summands": count_trace_summands(cover),
+        "degree_matches_spec": None if expected_degree is None else cover.degree == expected_degree,
+    })
+    t = report["transformation"]
+    detail = f"{report['residue_degree']} * {t['s_upper']} = {report['degree']} * {t['s_lower']}"
+    checks = [("transformation", t["ok"], detail)]
+    if doubling is not None:
+        d = report["doubling"]
+        # the doubling's s values are not report fields; the rule renders them
+        detail = "vacuous" if d["vacuous"] else (
+            f"{report_json(doubling.s_upper)} >= 2 * {report_json(doubling.s_lower)}"
+            + (" (equality)" if d["equality"] else "")
+        )
+        checks.append(("doubling", d["ok"], detail))
+    tr = report["trace"]
+    checks.append(("trace_in_maximal", tr["ok"], f"{len(tr['rows'])} generators"))
+    summands = report["trace_summands"]
+    expected_summands = cover.residue_degree if cover.trace.is_surjective() else 0
+    checks.append(("trace_summands", summands == expected_summands, f"count = {summands}"))
+    if expected_degree is not None:
+        detail = f"computed {report['degree']}, spec {expected_degree}"
+        checks.append(("degree_matches_spec", report["degree_matches_spec"], detail))
+    report["ok"] = all(passed for _, passed, _ in checks)
     rows = [[name, "PASS" if passed else "FAIL", detail] for name, passed, detail in checks]
     table = _table(["check", "result", "detail"], rows)
-    return report, table, 0 if ok else 4
+    return report, table, 0 if report["ok"] else 4
 
 
 # -- bounds ------------------------------------------------------------------
+
+
+def _bound_report(s: Fraction, exact: bool, bound: int, prime_to_p: int, theorem: str) -> dict:
+    """The ``bound_report`` section that bounds and purity emit."""
+    return {"s": s, "exact": exact, "bound": bound, "prime_to_p": prime_to_p, "theorem": theorem}
 
 
 def cmd_bounds(doc: dict, args) -> tuple[dict, str, int]:
@@ -264,19 +229,19 @@ def cmd_bounds(doc: dict, args) -> tuple[dict, str, int]:
             raise VerificationFailure(
                 f"class order {rep.order} exceeds the bound {rep.bound}"
             )
-        report = {
-            "bound_report": BoundReport(rep.s, True, rep.bound, ring.p, rep.theorem).core_json(),
+        report = report_json({
+            "bound_report": _bound_report(rep.s, True, rep.bound, ring.p, rep.theorem),
             "details": {
                 "class_order": rep.order,
                 "cover_degree": rep.cover.degree,
                 "cover_etale_in_codim1": rep.cover.etale_in_codim1,
                 "provisional": False,
             },
-        }
+        })
+        b, d = report["bound_report"], report["details"]
         table = _table(
             ["order", "bound", "s", "cover degree", "etale c1"],
-            [[str(rep.order), str(rep.bound), fraction_string(rep.s),
-              str(rep.cover.degree), str(rep.cover.etale_in_codim1)]],
+            [[d["class_order"], b["bound"], b["s"], d["cover_degree"], d["cover_etale_in_codim1"]]],
         )
         return report, table, 0
     else:
@@ -284,11 +249,18 @@ def cmd_bounds(doc: dict, args) -> tuple[dict, str, int]:
             raise ValueError("bounds needs a ring, a veronese block, or a divisor_class")
         ring, delta, request = _ring_request(doc, args)
         bound = pi1_order_bound(ring, delta, **request)
-    report = {"bound_report": bound.core_json(), "details": bound.details_json()}
+    # the intervals of an estimate; an exact bound has none
+    intervals = _fields(bound, "s_interval", "bound_interval")
+    report = report_json({
+        "bound_report": _bound_report(bound.s, bound.exact, bound.bound, bound.prime_to_p, bound.theorem),
+        "details": {
+            **_fields(bound, "attained", "note", "provisional"),
+            **{key: value for key, value in intervals.items() if value is not None},
+        },
+    })
     table = _table(
         ["s", "exact", "bound", "prime to", "theorem"],
-        [[fraction_string(bound.s), str(bound.exact), str(bound.bound),
-          str(bound.prime_to_p), bound.theorem]],
+        [_row(report["bound_report"], "s", "exact", "bound", "prime_to_p", "theorem")],
     )
     return report, table, 0
 
@@ -303,35 +275,29 @@ def cmd_chain(doc: dict, args) -> tuple[dict, str, int]:
     if not isinstance(ring, ToricRing) or ring.group_order is None:
         raise ValueError("chain simulation needs a quotient ring")
     chain = chain_simulation(ring, _deadline(_options(doc, args)))
-    report = {
+    report = report_json({
         "ring": doc["ring"],
         "steps": [
             {
                 "lower": step.lower.label,
                 "upper": step.upper.label,
-                "degree": step.degree,
-                "etale_in_codim1": step.etale_in_codim1,
-                "s_lower": fraction_string(s_lo),
-                "s_upper": fraction_string(s_hi),
+                **_fields(step, "degree", "etale_in_codim1"),
+                "s_lower": s_lo,
+                "s_upper": s_hi,
             }
             for step, s_lo, s_hi in zip(chain.steps, chain.s_values, chain.s_values[1:])
         ],
-        "s_values": [fraction_string(s) for s in chain.s_values],
-        "stabilization_index": chain.stabilization_index,
-        "ok": chain.ok,
-    }
+        **_fields(chain, "s_values", "stabilization_index", "ok"),
+    })
     rows = [
-        [str(i), step.lower.label, step.upper.label, str(step.degree),
-         str(step.etale_in_codim1), fraction_string(s_lo), fraction_string(s_hi)]
-        for i, (step, s_lo, s_hi) in enumerate(
-            zip(chain.steps, chain.s_values, chain.s_values[1:]), start=1
-        )
+        [i, *_row(step, "lower", "upper", "degree", "etale_in_codim1", "s_lower", "s_upper")]
+        for i, step in enumerate(report["steps"], start=1)
     ]
     table = _table(
         ["step", "lower", "upper", "degree", "etale c1", "s lower", "s upper"], rows
     )
-    table += f"\nstabilization index: {chain.stabilization_index}"
-    return report, table, 0 if chain.ok else 4
+    table += f"\nstabilization index: {report['stabilization_index']}"
+    return report, table, 0 if report["ok"] else 4
 
 
 # -- purity ------------------------------------------------------------------
@@ -341,25 +307,18 @@ def cmd_purity(doc: dict, args) -> tuple[dict, str, int]:
     ring, delta, request = _ring_request(doc, args)
     verdict = purity_check(ring, delta, **request)
     bound = math.floor(1 / verdict.s) if verdict.s > 0 else 0
-    report = {
+    report = report_json({
         "ring": doc["ring"],
         "purity": {
-            "forced": verdict.forced,
-            "threshold": fraction_string(verdict.threshold),
-            "clause": verdict.clause,
-            "s": fraction_string(verdict.s),
-            "exact": verdict.exact,
-            "provisional": verdict.provisional,
-            "boundary_case": verdict.boundary_case,
-            "admits_nontrivial_etale_cover": verdict.admits_nontrivial_etale_cover,
+            **_fields(verdict, "forced", "threshold", "clause", "s", "exact", "provisional",
+                      "boundary_case", "admits_nontrivial_etale_cover"),
             "cover_degrees_found": [c.degree for c in verdict.covers_found],
         },
-        "bound_report": BoundReport(verdict.s, verdict.exact, bound, ring.p, "C").core_json(),
-    }
+        "bound_report": _bound_report(verdict.s, verdict.exact, bound, ring.p, "C"),
+    })
     table = _table(
         ["s", "threshold", "clause", "forced", "boundary"],
-        [[fraction_string(verdict.s), fraction_string(verdict.threshold),
-          verdict.clause, str(verdict.forced), str(verdict.boundary_case)]],
+        [_row(report["purity"], "s", "threshold", "clause", "forced", "boundary_case")],
     )
     return report, table, 0
 
@@ -370,8 +329,7 @@ def cmd_purity(doc: dict, args) -> tuple[dict, str, int]:
 def _golden_compare(report: dict, args) -> tuple[str, int]:
     golden_dir = Path(args.golden)
     golden_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.spec).stem
-    path = golden_dir / f"{args.command}__{stem}.json"
+    path = golden_dir / f"{args.command}__{Path(args.spec).stem}.json"
     current = strip_timing(report)
     if not path.exists():
         path.write_text(canonical_json(current))
@@ -421,7 +379,9 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        doc = _load_document(args)
+        with open(args.spec) as handle:
+            doc = json.load(handle)
+        validate_document(doc)
         started = time.monotonic()
         report, table, code = COMMANDS[args.command](doc, args)
     except BudgetExceeded as exc:
@@ -436,7 +396,12 @@ def main(argv=None) -> int:
         return 2
     report["command"] = args.command
     report["timing"] = {"seconds": time.monotonic() - started}
-    _emit(report, table, args.out)
+    print(table, file=sys.stderr)
+    text = canonical_json(report)
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
     if args.golden:
         note, golden_code = _golden_compare(report, args)
         print(note, file=sys.stderr)

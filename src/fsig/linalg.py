@@ -29,15 +29,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import is_prime
 from .poly import Polynomial
 from .toric import _rref, primitive_vector
 
 _F32_LIMIT = 2**24
 _F64_LIMIT = 2**53
 _MAX_BLOCK = 128
-_MAX_DENSE = 4000
 _MAX_BOX = 40_000_000
+# source x target cells of one dense block: 256 MB in float32
+_MAX_CELLS = 2**26
 # (term, source) pairs per chunk in _block_matrix: about 1 MB of mask and
 # 8 MB per index array at most
 _CHUNK_PAIRS = 2**20
@@ -153,23 +153,6 @@ def _rank_inplace(A: np.ndarray, p: int, block: int) -> int:
     return rank
 
 
-def rank_mod_p(matrix, p: int) -> int:
-    """Rank of an integer matrix over GF(p)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    A = np.asarray(matrix)
-    if A.ndim != 2:
-        raise ValueError("expected a two dimensional array")
-    m, n = A.shape
-    if m == 0 or n == 0:
-        return 0
-    dtype, block = _plan(p)
-    if dtype is None:
-        return rank_mod_p_reference(A.tolist(), p)
-    A = np.mod(A, p).astype(dtype)
-    return _rank_inplace(A, p, block)
-
-
 def rank_mod_p_reference(rows: Sequence[Sequence[int]], p: int) -> int:
     """Plain Gaussian elimination in Python integers; the slow reference."""
     work = [[int(x) % p for x in row] for row in rows]
@@ -265,8 +248,6 @@ def _box_exponents(caps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """All exponent vectors below ``caps`` plus the flat-index strides."""
     caps = tuple(int(c) for c in caps)
     total = math.prod(caps)
-    if total > _MAX_BOX:
-        raise ValueError(f"monomial box of size {total} is too large to enumerate")
     flat = np.arange(total, dtype=np.int64)
     exps = np.stack(np.unravel_index(flat, caps), axis=1).astype(np.int32)
     strides = np.ones(len(caps), dtype=np.int64)
@@ -328,10 +309,11 @@ def multiplication_rank(
     With positive ``weights`` under which g is homogeneous the map is
     computed blockwise per weighted degree; the quotient pairs perfectly
     into its socle degree, so blocks past the midpoint mirror the early
-    ones and are not rebuilt.  Without weights the whole box, at most
-    ``_MAX_DENSE`` monomials, is one block.  Past ``deadline`` (a
-    ``time.monotonic()`` value, checked before each graded block) it
-    raises ``TimeoutError``.
+    ones and are not rebuilt.  Without weights the whole box is one block.
+    A box past ``_MAX_BOX`` monomials, or a block past ``_MAX_CELLS``
+    source x target cells, raises ``ValueError`` before anything is
+    allocated.  Past ``deadline`` (a ``time.monotonic()`` value, checked
+    before each graded block) it raises ``TimeoutError``.
     """
     p = g.p
     caps = tuple(int(c) for c in caps)
@@ -348,11 +330,9 @@ def multiplication_rank(
     dtype, block = _plan(p)
     if dtype is None:
         raise ValueError(f"characteristic {p} too large for the dense backend")
+    if total > _MAX_BOX:
+        raise ValueError(f"monomial box of size {total} is too large to enumerate")
     if weights is None:
-        if total > _MAX_DENSE:
-            raise ValueError(
-                "quotient too large for a dense ungraded rank; supply weights"
-            )
         # all-zero weights: one block holding the whole box, nothing mirrored
         weights = (0,) * len(caps)
     else:
@@ -362,38 +342,40 @@ def multiplication_rank(
     if not g.is_homogeneous(weights):
         raise ValueError("polynomial is not homogeneous under the given weights")
     deg_g = g.weighted_degree(weights)
+    # box monomials per weighted degree 0..socle: the coefficients of the
+    # product of 1 + t^w_i + ... + t^(w_i (caps_i - 1)) over i
+    sizes = np.ones(1, dtype=np.int64)
+    for c, w in zip(caps, weights):
+        sizes = np.convolve(sizes, np.bincount(np.arange(c) * w))
+    center = len(sizes) - 1 - deg_g
+    # the blocks that are built: source degree j <= center / 2, target j + deg_g
+    sources = sizes[: max(center // 2 + 1, 0)]
+    cells = sources * sizes[deg_g : deg_g + len(sources)]
+    if cells.max(initial=0) > _MAX_CELLS:
+        j = int(cells.argmax())
+        raise ValueError(
+            f"a block of {sources[j]} x {sizes[j + deg_g]} monomials is too large for a dense rank"
+        )
     exps, strides = _box_exponents(caps)
     caps_arr = np.asarray(caps, dtype=np.int64)
     terms = np.fromiter(chain.from_iterable(g.terms), dtype=np.int64, count=len(g.terms) * g.nvars)
     terms = terms.reshape(-1, g.nvars)
     coeffs = np.fromiter(g.terms.values(), dtype=dtype, count=len(terms))
-    degrees = exps @ np.asarray(weights, dtype=np.int64)
-    order = np.argsort(degrees, kind="stable")
-    sorted_degs = degrees[order]
-    uniq, starts = np.unique(sorted_degs, return_index=True)
-    ends = np.append(starts[1:], len(sorted_degs))
-    blocks: dict[int, np.ndarray] = {}
+    order = np.argsort(exps @ np.asarray(weights, dtype=np.int64), kind="stable")
+    ends = np.cumsum(sizes).tolist()
+    starts = [0] + ends[:-1]
+    # pos[flat]: the place of a monomial within its degree's block
     pos = np.empty(total, dtype=np.int64)
-    for val, a, b in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
-        idx = order[a:b]
-        blocks[val] = idx
-        pos[idx] = np.arange(b - a, dtype=np.int64)
-    socle = sum(w * (c - 1) for w, c in zip(weights, caps))
-    center = socle - deg_g
+    for a, b in zip(starts, ends):
+        pos[order[a:b]] = np.arange(b - a, dtype=np.int64)
     rank = 0
-    for j, src in blocks.items():
-        if 2 * j > center:
-            continue
+    for j in range(len(sources)):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("time budget exhausted during a graded rank")
-        tgt = blocks.get(j + deg_g)
-        if tgt is None or len(tgt) == 0:
-            block_rank = 0
-        else:
-            mat = _block_matrix(terms, coeffs, caps_arr, exps, strides, pos, src, len(tgt))
+        block_rank = 0
+        if cells[j]:
+            src = order[starts[j] : ends[j]]
+            mat = _block_matrix(terms, coeffs, caps_arr, exps, strides, pos, src, int(sizes[j + deg_g]))
             block_rank = _rank_inplace(mat, p, block)
-        if 2 * j < center:
-            rank += 2 * block_rank
-        else:
-            rank += block_rank
+        rank += block_rank if 2 * j == center else 2 * block_rank
     return rank

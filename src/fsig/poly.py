@@ -324,6 +324,10 @@ class ParseError(ValueError):
         self.position = position
 
 
+# Parentheses nested deeper raise ParseError; each level is four frames
+# of the recursive descent, so this stays far below the recursion limit.
+_MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
 
 
@@ -356,6 +360,7 @@ class _Parser:
         self.p = p
         self.nvars = nvars
         self.index = {name: k for k, name in enumerate(names)}
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -414,7 +419,11 @@ class _Parser:
                 raise ParseError(f"unknown variable {text!r}", pos)
             return Polynomial.variable(self.index[text], self.p, self.nvars)
         if kind == "op" and text == "(":
+            if self.depth == _MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", pos)
+            self.depth += 1
             inner = self.expression()
+            self.depth -= 1
             closing = self.next()
             if closing[:2] != ("op", ")"):
                 raise ParseError("expected ')'", closing[2])

@@ -1,9 +1,12 @@
 """JSON ingestion and emission: schemas, builders, canonical rendering.
 
 Exact rationals travel as "num/den" strings in both directions so that
-no value ever passes through a float.  Reports are rendered with sorted
-keys and a trailing newline, and are byte-identical for identical inputs
-once the timing sidecar is stripped.
+no value ever passes through a float.  Every report value is rendered by
+one rule, ``report_json``: a Fraction becomes "num/den", a TorusQDivisor
+its coefficient list, a tuple a list, dicts and lists element by
+element, and anything else stays as it is.  Reports are written with
+sorted keys and a trailing newline, and are byte-identical for identical
+inputs once the timing sidecar is stripped.
 """
 
 from __future__ import annotations
@@ -264,7 +267,14 @@ def strip_timing(obj: Any) -> Any:
     return obj
 
 
-def divisor_json(divisor: TorusQDivisor | None) -> list[str] | None:
-    if divisor is None:
-        return None
-    return [fraction_string(c) for c in divisor.coefficients]
+def report_json(value: Any) -> Any:
+    """``value`` with every exact value rendered by the one report rule."""
+    if isinstance(value, Fraction):
+        return fraction_string(value)
+    if isinstance(value, TorusQDivisor):
+        return report_json(value.coefficients)
+    if isinstance(value, dict):
+        return {key: report_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [report_json(item) for item in value]
+    return value

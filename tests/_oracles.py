@@ -17,7 +17,8 @@ from typing import Iterator
 import numpy as np
 
 from fsig.frobenius import RingPresentation, in_bracket_maximal
-from fsig.linalg import rank_mod_p_reference
+from fsig.field import is_prime
+from fsig.linalg import _plan, _rank_inplace, rank_mod_p_reference
 from fsig.poly import Polynomial, default_names
 from fsig.toric import TorusQDivisor
 
@@ -346,3 +347,20 @@ def brute_standard_monomial_count(leads, caps: tuple[int, ...]) -> int:
             ):
                 stack.append((depth + 1, candidate))
     return count
+
+
+def rank_mod_p(matrix, p: int) -> int:
+    """Rank of an integer matrix over GF(p) by the dense kernel, for testing it."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    A = np.asarray(matrix)
+    if A.ndim != 2:
+        raise ValueError("expected a two dimensional array")
+    m, n = A.shape
+    if m == 0 or n == 0:
+        return 0
+    dtype, block = _plan(p)
+    if dtype is None:
+        return rank_mod_p_reference(A.tolist(), p)
+    A = np.mod(A, p).astype(dtype)
+    return _rank_inplace(A, p, block)

@@ -164,6 +164,26 @@ def test_chain_budget_bounds_the_trial_division(tmp_path, capsys, options, flags
     assert time.monotonic() - started < 0.5
 
 
+def test_deep_nesting_is_an_input_error(tmp_path, capsys):
+    doc = {"ring": {"type": "hypersurface", "p": 3, "nvars": 1, "f": "(" * 250 + "x0" + ")" * 250}}
+    code, _ = run(tmp_path, "compute", doc)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: parentheses nested deeper than 100")
+    assert "Traceback" not in err
+
+
+def test_block_past_the_cell_cap_is_refused(tmp_path, capsys):
+    # Neither separated nor a quadratic form, so the rank route: at e = 3 the
+    # weights (2, 2, 1, 2, 2) give a 51086 x 56350 block, 11.5 GB in float32.
+    doc = {"ring": {"type": "hypersurface", "p": 3, "nvars": 5,
+                    "f": "x0*x1 + x0*x2^2 + x1*x2^2 + x3^2 + x4^2"}}
+    code, _ = run(tmp_path, "compute", doc, "--e-max", "3")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "e = 3 refused: a block of 51086 x 56350 monomials is too large" in err
+
+
 def test_compute_schema_error(tmp_path):
     code, _ = run(tmp_path, "compute", {"ring": {"type": "regular", "p": 4, "nvars": 2}})
     assert code == 2
@@ -477,17 +497,21 @@ def _referenced_names(tree) -> set[str]:
 
 def test_every_src_definition_is_referenced():
     # A module-level def or class is dead unless another module of the
-    # package (the re-exports in __init__ aside), a test, a demo, the
-    # benchmark, or another statement of its own module names it.
+    # package (the re-exports in __init__ aside), a demo, the benchmark,
+    # or another statement of its own module names it.  A test counts
+    # only for the public names in fsig.__all__: a helper that only the
+    # tests call belongs in tests/.
     root = Path(__file__).resolve().parent.parent
     modules = {path.name: ast.parse(path.read_text())
                for path in sorted(Path(fsig.__file__).parent.glob("*.py"))
                if path.name != "__init__.py"}
     assert modules
     outside = {name: _referenced_names(tree) for name, tree in modules.items()}
+    public = set(fsig.__all__)
     for folder in ("tests", "demos", "perfbench"):
         for path in sorted((root / folder).rglob("*.py")):
-            outside[str(path)] = _referenced_names(ast.parse(path.read_text()))
+            names = _referenced_names(ast.parse(path.read_text()))
+            outside[str(path)] = names & public if folder == "tests" else names
     unreferenced = []
     for name, tree in modules.items():
         elsewhere = set().union(*(refs for other, refs in outside.items() if other != name))

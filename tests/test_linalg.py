@@ -12,13 +12,12 @@ from fsig import linalg
 from fsig.linalg import (
     find_positive_weights,
     multiplication_rank,
-    rank_mod_p,
     rank_mod_p_reference,
     rational_nullspace,
 )
 from fsig.poly import Polynomial, parse_polynomial
 
-from _oracles import box_dimension, brute_block_matrix, brute_colon_complement_length
+from _oracles import box_dimension, brute_block_matrix, brute_colon_complement_length, rank_mod_p
 
 
 def test_rank_small_known():
@@ -297,6 +296,28 @@ def test_multiplication_rank_without_weights_matches_brute_force():
         box = [tuple(int(x) for x in m) for m in linalg._box_exponents(caps)[0]]
         expected = rank_mod_p_reference(brute_block_matrix(g, caps, box, box), p)
         assert multiplication_rank(g, caps) == expected, (g, caps)
+
+
+def test_block_cap_refuses_before_any_block_is_built(monkeypatch):
+    build = linalg._block_matrix
+
+    def unreachable(*args):
+        raise AssertionError("a block was assembled past the cap")
+
+    f = parse_polynomial("x*y - z^2", 3, 3, names=("x", "y", "z"))
+    g = parse_polynomial("x + y", 5, 2, names=("x", "y"))
+    graded = multiplication_rank(g, (4, 4), (1, 1))
+    monkeypatch.setattr(linalg, "_block_matrix", unreachable)
+    monkeypatch.setattr(linalg, "_MAX_CELLS", 10)
+    with pytest.raises(ValueError, match="too large for a dense rank"):
+        multiplication_rank(f, (9, 9, 9), find_positive_weights(f))
+    # without weights the whole 4 x 4 box is one block of 16 x 16 cells
+    monkeypatch.setattr(linalg, "_MAX_CELLS", 16 * 16 - 1)
+    with pytest.raises(ValueError, match="a block of 16 x 16 monomials"):
+        multiplication_rank(g, (4, 4))
+    monkeypatch.setattr(linalg, "_block_matrix", build)
+    monkeypatch.setattr(linalg, "_MAX_CELLS", 16 * 16)
+    assert multiplication_rank(g, (4, 4)) == graded == 12
 
 
 def test_box_dimension():

@@ -122,6 +122,14 @@ def test_parser_parentheses_and_constants():
     assert parse_polynomial("7", 5, 1) == Polynomial.constant(2, 5, 1)
 
 
+def test_parser_nesting_depth():
+    x = parse_polynomial("x", 3, 1, names=("x",))
+    assert parse_polynomial("(" * 100 + "x" + ")" * 100, 3, 1, names=("x",)) == x
+    with pytest.raises(ParseError, match="nested deeper than 100") as err:
+        parse_polynomial("(" * 101 + "x" + ")" * 101, 3, 1, names=("x",))
+    assert err.value.position == 100
+
+
 def test_parser_unary_minus():
     f = parse_polynomial("-x^2 - 3", 7, 1, names=("x",))
     assert f == parse_polynomial("6*x^2 + 4", 7, 1, names=("x",))

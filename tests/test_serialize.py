@@ -13,9 +13,9 @@ from fsig.serialize import (
     build_pair,
     build_ring,
     canonical_json,
-    divisor_json,
     fraction_string,
     parse_fraction_string,
+    report_json,
     strip_timing,
     validate_document,
 )
@@ -180,13 +180,21 @@ def test_strip_timing_recursive():
 
 
 def test_divisor_json():
-    assert divisor_json(None) is None
+    # The one report rule: a divisor becomes its coefficient list, a
+    # Fraction "num/den", a tuple a list, and anything else stays.
+    assert report_json(None) is None
     d = TorusQDivisor.of([Fraction(1, 2), Fraction(0)])
-    assert divisor_json(d) == ["1/2", "0/1"]
-    assert [parse_fraction_string(c) for c in divisor_json(d)] == [
+    assert report_json(d) == ["1/2", "0/1"]
+    assert [parse_fraction_string(c) for c in report_json(d)] == [
         Fraction(1, 2),
         Fraction(0),
     ]
+    report = {"ram": d, "rows": ({"generator": (1, 0), "ok": True, "s": Fraction(2)},), "note": "n"}
+    assert report_json(report) == {
+        "ram": ["1/2", "0/1"],
+        "rows": [{"generator": [1, 0], "ok": True, "s": "2/1"}],
+        "note": "n",
+    }
 
 
 def test_cover_document_validation():
