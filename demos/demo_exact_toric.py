@@ -24,8 +24,8 @@ ring = quotient_singularity(n=4, weights=(1, 3), p=5)
 print(f"ring: {ring.label}")
 print(f"facet normals: {ring.normals}")
 
-generators, degree_bound = ring.hilbert_basis()
-print(f"Hilbert basis of invariants (degree bound {degree_bound}):")
+generators = ring.hilbert_basis()
+print("Hilbert basis of invariants (the rays and the minimal points of the fundamental parallelepiped):")
 for g in generators:
     print(f"  {g}")
 

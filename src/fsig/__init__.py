@@ -7,9 +7,9 @@ Two computational backends share one vocabulary:
   window counts and the F-signature is a closed-form rational number;
 - a sequence backend for hypersurface and regular presentations
   (``frobenius``), where splitting numbers are ranks of the Fedder twist
-  on P/m^[q] (Jordan types for separated hypersurfaces and, after
-  diagonalisation, quadratic forms at odd p, with monomial pairs or one
-  linear pair component on a quadratic form, ``sebastiani``),
+  on P/m^[q] (Jordan types for separated hypersurfaces and, through a
+  normal form read off ranks, quadratic forms at odd p, with monomial
+  pairs or one linear pair component on a quadratic form, ``sebastiani``),
   cross-checked by the Groebner length q^n - lambda(P/(m^[q], g)), and
   the limit is only ever estimated.
 

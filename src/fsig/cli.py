@@ -390,7 +390,7 @@ def main(argv=None) -> int:
     except (NonEffectivePairError, VerificationFailure) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
-    except (jsonschema.ValidationError, ValueError, OSError) as exc:
+    except (jsonschema.ValidationError, ValueError, RecursionError, OSError) as exc:
         message = getattr(exc, "message", None) or str(exc)
         print(f"input error: {message.splitlines()[0]}", file=sys.stderr)
         return 2

@@ -316,7 +316,7 @@ def verify_note_trace(cover: CoverDescriptor) -> TraceReport:
     nonzero image is not such a monomial makes the report fail.
     """
     upper = cover.upper
-    gens, _ = upper.hilbert_basis()
+    gens = upper.hilbert_basis()
     rows = []
     for g_amb in gens:
         c_up = upper.intrinsic_from_ambient(g_amb)

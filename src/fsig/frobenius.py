@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .field import rank_mod_p_reference
 from .ideals import Ideal, frobenius_power, ideal_sum, normal_form, quotient_length
-from .linalg import find_positive_weights, multiplication_rank, rank_mod_p_reference
+from .linalg import find_positive_weights, multiplication_rank
 from .poly import Polynomial
 from .sebastiani import separated_colength, separated_splitting_number
 from .toric import ToricRing, TorusQDivisor, toric_fsig_exact, toric_splitting_number

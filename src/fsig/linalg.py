@@ -1,8 +1,9 @@
 """Exact dense linear algebra over GF(p) and multiplication-map ranks.
 
 Ranks come from LU elimination on integer-valued float arrays: float32
-while the bounds below allow it, float64 past that, and Python integers
-(``rank_mod_p_reference``) for primes too large for either.
+while the bounds below allow it, float64 past that.  A prime too large
+for float64 (from about 9.5 * 10^7 on) is refused: ``multiplication_rank``
+raises ValueError, "too large for the dense backend".
 
 Exactness invariant: every entry the rank kernel holds is an integer of
 magnitude at most ``_limit(p, dtype)``, which lies at least p below 2^24
@@ -151,30 +152,6 @@ def _rank_inplace(A: np.ndarray, p: int, block: int) -> int:
             bound += k * unit
         col = c1
     return rank
-
-
-def rank_mod_p_reference(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Plain Gaussian elimination in Python integers; the slow reference."""
-    work = [[int(x) % p for x in row] for row in rows]
-    if not work or not work[0]:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], p - 2, p)
-        work[r] = [(v * inv) % p for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
 
 
 def rational_nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> list[tuple[Fraction, ...]]:

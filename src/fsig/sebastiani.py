@@ -18,11 +18,15 @@ Each variable f does not involve contributes a factor k[z]/(z^c) with
 T = 0, so c blocks of size 1, and multiplies both numbers by its cap.
 
 A quadratic form that is not separated, such as x*y + y*z + z*x, is
-diagonalised first (``diagonal_form``) when p is odd and every cap is the
-same power q of p.  Over GF(p), (sum_j a_ij x_j)^q = sum_j a_ij x_j^q, so
-x -> A x with A in GL_n(GF(p)) maps m^[q] onto itself and conjugates f on
-P/m^[q] to f(A x): neither number changes.  Unequal caps, or caps that
-are not powers of p, are not invariant under GL_n, and stay declined.
+replaced by a normal form (``diagonal_form``) when p is odd and every cap
+is the same power q of p.  Both numbers are ranks over GF(p), which do
+not change over F-bar_p.  There (sum_j a_ij x_j)^q = sum_j a_ij^q x_j^q,
+so x -> A x with A in GL_n(F-bar_p) maps m^[q] onto itself and conjugates
+f on P/m^[q] to f(A x), and a unit coefficient does not change a Jordan
+type.  So f may be replaced by any form equivalent to it over F-bar_p, up
+to unit coefficients, and such a form is fixed by a rank: x_0^2 + ... +
+x_(r-1)^2 for the rank r of f.  Unequal caps, or caps that are not powers
+of p, are not invariant under GL_n, and stay declined.
 
 The rank of a twist f^(q-1) * prod g^r on P/m^[q] (a pair, or the extra
 factor of a gap length) is taken in two kinds:
@@ -34,10 +38,11 @@ factor of a gap length) is taken in two kinds:
   f^q lies in m^[q], inside that box, so every block there has size at
   most q, and the rank is the number of blocks of size exactly q;
 - one linear form l on a quadratic form f at odd p: while every cap is
-  still q, an A in GL_n(GF(p)) with l(A x) = u, a coordinate, brings f to
-  d*u^2 + sum d_j y_j^2, u*v + sum d_j y_j^2 or a form without u
-  (``diagonal_form(f, keep=l)``).  A fixes m^[q] and takes the twist to
-  f(A x)^(q-1) * u^r, a monomial factor: u's cap becomes q - r.
+  still q, an A in GL_n(F-bar_p) that takes l to a unit times a
+  coordinate u brings f to u*v, u^2 or no u, plus squares; one more rank
+  picks which (``diagonal_form(f, keep=l)``).  A fixes m^[q] and takes
+  the twist to f(A x)^(q-1) * u^r, a monomial factor: u's cap becomes
+  q - r.
 
 Every other twist is declined.
 
@@ -48,7 +53,6 @@ Han's colength 4 l(k) = 2(ab + bk + ka) - a^2 - b^2 - k^2 + delta^2
 (``han_colength``), and r_(L-1) - 2 r_L + r_(L+1) blocks have size L.
 Two types multiply pair by pair; the last two are read only through
 their free summands (``free_count``) or block count (``block_count``).
-A unit coefficient does not change a Jordan type.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from collections import Counter
 from itertools import accumulate
 from typing import Sequence
 
+from .field import rank_mod_p_reference
 from .poly import Polynomial
 
 # q bounds the O(q) loops and dicts below.  One tensor product pairs at
@@ -180,74 +185,50 @@ def _same_power(caps: tuple[int, ...], p: int) -> bool:
 
 
 def diagonal_form(f: Polynomial, keep: Polynomial | None = None) -> Polynomial:
-    """f(A x) in normal form with A in GL_n(GF(p)), for a quadratic form f and p odd.
+    """A form equivalent to the quadratic form f over F-bar_p, p odd, up to unit coefficients.
 
-    Without ``keep`` the form is sum_k d_k x_k^2.  With a linear form
-    ``keep`` = l, A also takes l to the variable u = x_k of l's first
-    variable k, and the form is d*u^2 + sum_j d_j y_j^2, u*v + sum_j d_j y_j^2
-    or a form without u.
+    B is the symmetric matrix of f (B_ii the coefficient of x_i^2, B_ij =
+    B_ji half that of x_i x_j) and r its rank.  Every unit of F-bar_p is a
+    square, so without ``keep`` the form is x_0^2 + ... + x_(r-1)^2.
 
-    Symmetric elimination on the matrix B of f (B_ii the coefficient of
-    x_i^2, B_ij = B_ji half that of x_i x_j).  With ``keep``, the
-    substitution x_k -> (x_k - sum_{i != k} l_i x_i) / l_k comes first, so
-    that l becomes x_k, and u = x_k is never a pivot.  A nonzero B_kk is a
-    pivot: x_k -> x_k - sum_i (B_ki / B_kk) x_i leaves d_k = B_kk on x_k^2
-    and the Schur complement on the other variables.  When no diagonal
-    entry is left but some B_ij is nonzero, x_i -> x_i + x_j makes the new
-    B_jj = 2 B_ij a pivot.  A form of rank r keeps r terms without ``keep``.
-    What is left at the end with ``keep`` is c u^2 + 2 u sum_j B_uj y_j;
-    when some B_uj is nonzero, v = c u + 2 sum_j B_uj y_j replaces that y_j,
-    and the rest is u*v.
+    With a linear form ``keep`` = l, the equivalence also takes l to a unit
+    times u, l's first variable.  With excess = rank [[B, l^T], [l, 0]] - r
+    the form is u*v + (r - 2 squares) at excess 0, u^2 + (r - 1 squares)
+    at excess 1 and r squares without u at excess 2; v and the squares
+    take the other variables in index order.  Proof: if l = x^T B for some
+    x, subtracting x times the first n rows and columns from the last
+    reduces the bordered matrix to diag(B, -c), c = x^T B x = l(x).
+    - c != 0: f - l^2/c has x in its radical and rank r - 1, so it is a
+      form in coordinates vanishing on x, and l is independent of them.
+    - c = 0: any z with l(z) = 1, moved along x to be isotropic, spans
+      with x a plane where f = 2ab and l = b; on its orthogonal l vanishes
+      and f has rank r - 2.
+    Otherwise l is not in the row space of B, so l(z) = 1 for some z in
+    the radical of f.  In a basis of z and the kernel of l, u is z's
+    coordinate, f does not involve it, and the bordered rank is r + 2.
     """
     p, n = f.p, f.nvars
     b = [[0] * n for _ in range(n)]
     for m, c in f.terms.items():
         i, j = (k for k, e in enumerate(m) for _ in range(e))
         b[i][j] = b[j][i] = c if i == j else c * (p + 1) // 2 % p
+    r = rank_mod_p_reference(b, p)
     rest = list(range(n))
-    kept = []
+    terms = {}
     if keep is not None:
         u = _first_variable(keep)
         ell = [keep.terms.get(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
-        inverse = pow(ell[u], p - 2, p)
-        # x = A x' with A the identity but for row u: B -> A^T B A, columns then rows
-        row = [-c * inverse for c in ell]
-        row[u] = inverse - 1
-        for t in range(n):
-            pivot = b[t][u]
-            for j in range(n):
-                b[t][j] = (b[t][j] + row[j] * pivot) % p
-        for t in range(n):
-            pivot = b[u][t]
-            for j in range(n):
-                b[j][t] = (b[j][t] + row[j] * pivot) % p
+        excess = rank_mod_p_reference([row + [c] for row, c in zip(b, ell)] + [ell + [0]], p) - r
         rest.remove(u)
-        kept.append(u)
-    diagonal = {}
-    while True:
-        k = next((k for k in rest if b[k][k]), None)
-        if k is None:
-            pair = next(((i, j) for i in rest for j in rest if b[i][j]), None)
-            if pair is None:
-                break
-            i, k = pair
-            for t in rest + kept:  # x_i -> x_i + x_k: column k += column i, then row k += row i
-                b[t][k] = (b[t][k] + b[t][i]) % p
-            for t in rest + kept:
-                b[k][t] = (b[k][t] + b[i][t]) % p
-        rest.remove(k)
-        diagonal[k] = b[k][k]
-        inverse = pow(b[k][k], p - 2, p)
-        for i in rest + kept:
-            for j in rest + kept:
-                b[i][j] = (b[i][j] - b[i][k] * b[k][j] * inverse) % p
-    terms = {tuple(2 * (i == k) for i in range(n)): d for k, d in diagonal.items()}
-    for u in kept:
-        v = next((j for j in rest if b[u][j]), None)
-        if v is not None:
+        if excess == 0:
+            v = rest.pop(0)
             terms[tuple(int(i in (u, v)) for i in range(n))] = 1
-        elif b[u][u]:
-            terms[tuple(2 * (i == u) for i in range(n))] = b[u][u]
+            r -= 2
+        elif excess == 1:
+            terms[tuple(2 * (i == u) for i in range(n))] = 1
+            r -= 1
+    for k in rest[:r]:
+        terms[tuple(2 * (i == k) for i in range(n))] = 1
     return Polynomial(p, n, terms)
 
 

@@ -15,6 +15,10 @@ hold more than 20,000,000 partial sums, and its cost does not depend on
 the index of the lattice.  The class audit finds
 the minimal elements of every class in one enumeration of a box whose
 bound, q*D_F - 1 on facet F, is proved in toric_splitting_certificates.
+The Hilbert basis is the extreme rays and the minimal nonzero points of
+the fundamental parallelepiped, made by the same walk.  Every walk
+refuses by the partial sums it builds (or a value past int64), never by
+the size of the box it walks.
 The F-signature is the exact rational volume of the limiting window
 polytope.
 """
@@ -353,43 +357,25 @@ class ToricRing:
 
     # -- Hilbert basis --
 
-    def hilbert_basis(self) -> tuple[tuple[Vector, ...], int]:
-        """Minimal generators in ambient coordinates plus the degree bound.
+    def hilbert_basis(self) -> tuple[Vector, ...]:
+        """Minimal generators in ambient coordinates, by (facet degree, intrinsic c).
 
-        The bound is the sum of the extreme-ray degrees; every semigroup
-        element decomposes over the fundamental parallelepiped, so all
-        generators lie below it.  The enumeration double-checks that every
-        bounded element is a sum of generators.
+        Every semigroup element is a sum of extreme rays r_F and one point of
+        the fundamental parallelepiped 0 <= <v_F, c> <= <v_F, r_F> - 1, which
+        the lattice walk makes, so the rays and those points generate.  A
+        ray is irreducible.  When a parallelepiped point is a + b with a, b
+        nonzero semigroup elements, a and b pair below it on every facet and
+        lie in the parallelepiped too: its irreducible points are its
+        minimal nonzero points (``_minimal_elements``).
         """
         rays = self.extreme_rays()
-        deg = lambda c: sum(self.pairing(c))
-        bound = sum(deg(r) for r in rays)
-        elements = self._enumerate_by_degree(bound)
-        elements.sort(key=lambda c: (deg(c), c))
-        generators: list[Vector] = []
-        for c in elements:
-            if deg(c) == 0:
-                continue
-            if not self._decomposes(c, generators):
-                generators.append(c)
-        return tuple(self.embed(c) for c in generators), bound
-
-    def _decomposes(self, c: Vector, generators: list[Vector]) -> bool:
-        for h in generators:
-            rest = tuple(a - b for a, b in zip(c, h))
-            if all(x >= 0 for x in self.pairing(rest)):
-                return True
-        return False
-
-    def _enumerate_by_degree(self, bound: int) -> list[Vector]:
-        """All semigroup elements with total facet degree <= bound."""
-        error = "degree bound too large to enumerate"
-        cs = self._lattice_points([bound] * self.d, 5_000_000, error)
-        sums = [sum(col) for col in zip(*self.normals)]
-        if sum(abs(x) for x in sums) * max(1, int(np.abs(cs).max(initial=0))) >= 2**63:
-            raise ValueError(error)
-        degree = np.asarray(sums, dtype=np.int64) @ cs
-        return [tuple(c) for c in cs[:, degree <= bound].T.tolist()]
+        caps = [sum(map(operator.mul, v, r)) - 1 for v, r in zip(self.normals, rays)]
+        points = self._lattice_points(caps, 5_000_000, "Hilbert basis too large to enumerate")
+        pairings = np.asarray(self.normals, dtype=np.int64) @ points
+        members = [(c, y) for c, y in zip(*(map(tuple, a.T.tolist()) for a in (points, pairings))) if any(c)]
+        generators = rays + _minimal_elements(members)
+        generators.sort(key=lambda c: (sum(self.pairing(c)), c))
+        return tuple(self.embed(c) for c in generators)
 
     @cached_property
     def _pairing_basis(self) -> tuple[list[Vector], list[list[int]], int]:
@@ -461,11 +447,10 @@ class ToricRing:
         lattice points and their prefixes are made, never the box of pairing
         values.  The columns come in lexicographic order of their pairing
         vectors y = normals @ c, and c = adj @ y / det.  Raises
-        ValueError(error) when the box holds more than limit points, or when
-        a value could leave int64, where numpy would wrap.
+        ValueError(error) when a level of the walk would hold more than limit
+        partial sums, so more than limit points are never made, or when a
+        value could leave int64, where numpy would wrap.
         """
-        if math.prod(int(c) + 1 for c in caps) > limit:
-            raise ValueError(error)
         self._require_int64(caps, error)
         ys = self._walk(caps, self.d, limit, error)
         return (np.asarray(self._adj, dtype=np.int64) @ ys) // self._det

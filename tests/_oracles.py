@@ -17,8 +17,8 @@ from typing import Iterator
 import numpy as np
 
 from fsig.frobenius import RingPresentation, in_bracket_maximal
-from fsig.field import is_prime
-from fsig.linalg import _plan, _rank_inplace, rank_mod_p_reference
+from fsig.field import is_prime, rank_mod_p_reference
+from fsig.linalg import _plan, _rank_inplace
 from fsig.poly import Polynomial, default_names
 from fsig.toric import TorusQDivisor
 
@@ -195,6 +195,81 @@ def elimination_block_product(a: int, b: int, p: int) -> dict[int, int]:
         mat[r] = 0
         mat[:, c] = 0
     return dict(sizes)
+
+
+def elimination_diagonal_form(f: Polynomial, keep: Polynomial | None = None) -> Polynomial:
+    """f(A x) in normal form with A in GL_n(GF(p)), for a quadratic form f and p odd.
+
+    The reference for ``fsig.sebastiani.diagonal_form``, which reads the
+    same kind of form off two ranks and drops the GF(p) coefficients.
+
+    Without ``keep`` the form is sum_k d_k x_k^2.  With a linear form
+    ``keep`` = l, A also takes l to the variable u = x_k of l's first
+    variable k, and the form is d*u^2 + sum_j d_j y_j^2, u*v + sum_j d_j y_j^2
+    or a form without u.
+
+    Symmetric elimination on the matrix B of f (B_ii the coefficient of
+    x_i^2, B_ij = B_ji half that of x_i x_j).  With ``keep``, the
+    substitution x_k -> (x_k - sum_{i != k} l_i x_i) / l_k comes first, so
+    that l becomes x_k, and u = x_k is never a pivot.  A nonzero B_kk is a
+    pivot: x_k -> x_k - sum_i (B_ki / B_kk) x_i leaves d_k = B_kk on x_k^2
+    and the Schur complement on the other variables.  When no diagonal
+    entry is left but some B_ij is nonzero, x_i -> x_i + x_j makes the new
+    B_jj = 2 B_ij a pivot.  A form of rank r keeps r terms without ``keep``.
+    What is left at the end with ``keep`` is c u^2 + 2 u sum_j B_uj y_j;
+    when some B_uj is nonzero, v = c u + 2 sum_j B_uj y_j replaces that y_j,
+    and the rest is u*v.
+    """
+    p, n = f.p, f.nvars
+    b = [[0] * n for _ in range(n)]
+    for m, c in f.terms.items():
+        i, j = (k for k, e in enumerate(m) for _ in range(e))
+        b[i][j] = b[j][i] = c if i == j else c * (p + 1) // 2 % p
+    rest = list(range(n))
+    kept = []
+    if keep is not None:
+        u = min(m.index(1) for m in keep.terms)
+        ell = [keep.terms.get(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
+        inverse = pow(ell[u], p - 2, p)
+        # x = A x' with A the identity but for row u: B -> A^T B A, columns then rows
+        row = [-c * inverse for c in ell]
+        row[u] = inverse - 1
+        for t in range(n):
+            pivot = b[t][u]
+            for j in range(n):
+                b[t][j] = (b[t][j] + row[j] * pivot) % p
+        for t in range(n):
+            pivot = b[u][t]
+            for j in range(n):
+                b[j][t] = (b[j][t] + row[j] * pivot) % p
+        rest.remove(u)
+        kept.append(u)
+    diagonal = {}
+    while True:
+        k = next((k for k in rest if b[k][k]), None)
+        if k is None:
+            pair = next(((i, j) for i in rest for j in rest if b[i][j]), None)
+            if pair is None:
+                break
+            i, k = pair
+            for t in rest + kept:  # x_i -> x_i + x_k: column k += column i, then row k += row i
+                b[t][k] = (b[t][k] + b[t][i]) % p
+            for t in rest + kept:
+                b[k][t] = (b[k][t] + b[i][t]) % p
+        rest.remove(k)
+        diagonal[k] = b[k][k]
+        inverse = pow(b[k][k], p - 2, p)
+        for i in rest + kept:
+            for j in rest + kept:
+                b[i][j] = (b[i][j] - b[i][k] * b[k][j] * inverse) % p
+    terms = {tuple(2 * (i == k) for i in range(n)): d for k, d in diagonal.items()}
+    for u in kept:
+        v = next((j for j in rest if b[u][j]), None)
+        if v is not None:
+            terms[tuple(int(i in (u, v)) for i in range(n))] = 1
+        elif b[u][u]:
+            terms[tuple(2 * (i == u) for i in range(n))] = b[u][u]
+    return Polynomial(p, n, terms)
 
 
 def brute_block_matrix(

@@ -173,6 +173,17 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # the JSON decoder recurses once per array, so 100,000 levels pass the recursion limit
+    spec = tmp_path / "nested.json"
+    spec.write_text('{"ring": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code = main(["compute", "--spec", str(spec), "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: maximum recursion depth exceeded")
+    assert "Traceback" not in err
+
+
 def test_block_past_the_cell_cap_is_refused(tmp_path, capsys):
     # Neither separated nor a quadratic form, so the rank route: at e = 3 the
     # weights (2, 2, 1, 2, 2) give a 51086 x 56350 block, 11.5 GB in float32.

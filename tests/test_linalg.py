@@ -9,12 +9,8 @@ import numpy as np
 import pytest
 
 from fsig import linalg
-from fsig.linalg import (
-    find_positive_weights,
-    multiplication_rank,
-    rank_mod_p_reference,
-    rational_nullspace,
-)
+from fsig.field import rank_mod_p_reference
+from fsig.linalg import find_positive_weights, multiplication_rank, rational_nullspace
 from fsig.poly import Polynomial, parse_polynomial
 
 from _oracles import box_dimension, brute_block_matrix, brute_colon_complement_length, rank_mod_p

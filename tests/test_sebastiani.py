@@ -11,7 +11,8 @@ import pytest
 from fsig import frobenius
 from fsig.frobenius import RingPresentation, fsig_sequence, hk_length_sequence, splitting_number
 from fsig.ideals import Ideal, quotient_length
-from fsig.linalg import find_positive_weights, multiplication_rank, rank_mod_p_reference
+from fsig.field import rank_mod_p_reference
+from fsig.linalg import find_positive_weights, multiplication_rank
 from fsig.poly import Polynomial, parse_polynomial
 from fsig.sebastiani import (
     _separated_support,
@@ -31,6 +32,7 @@ from _oracles import (
     brute_det,
     brute_jordan_product,
     elimination_block_product,
+    elimination_diagonal_form,
     iter_box_monomials,
 )
 
@@ -393,7 +395,7 @@ def form_matrix(f):
 
 
 def test_diagonal_form_keeps_rank_and_discriminant():
-    # over GF(p), p odd, rank and discriminant classify nondegenerate forms
+    # the elimination oracle: over GF(p), p odd, rank and discriminant classify nondegenerate forms
     rng = random.Random(20262)
     for _ in range(200):
         p = rng.choice([3, 5, 7, 11])
@@ -401,12 +403,37 @@ def test_diagonal_form_keeps_rank_and_discriminant():
         if f.is_zero():
             continue
         b = form_matrix(f)
-        diagonal = diagonal_form(f)
+        diagonal = elimination_diagonal_form(f)
         assert all(sum(m) == 2 and max(m) == 2 for m in diagonal.terms)
         assert len(diagonal.terms) == rank_mod_p_reference(b, p), f.terms
         if len(diagonal.terms) == f.nvars:
             legendre = pow(math.prod(diagonal.terms.values()) * brute_det(b), (p - 1) // 2, p)
             assert legendre == 1, f.terms
+
+
+def normal_form_kind(form, u):
+    """u*v, u^2 or no u: how the normal form of a quadratic form involves the coordinate u."""
+    degrees = {max(m) for m in form.terms if m[u]}
+    return "u*v" if degrees == {1} else "u^2" if degrees == {2} else "no u"
+
+
+def test_rank_rule_matches_the_elimination():
+    # two ranks pick the same normal form as the GF(p) elimination: the kind and the rank
+    rng = random.Random(20267)
+    kinds = Counter()
+    for _ in range(2400):
+        p = rng.choice([3, 5, 7, 11, 13])
+        f = random_quadratic_form(rng, p, rng.randint(1, 6))
+        ell = random_linear_form(rng, p, f.nvars)
+        u = min(m.index(1) for m in ell.terms)
+        assert len(diagonal_form(f).terms) == len(elimination_diagonal_form(f).terms), f.terms
+        form, expected = diagonal_form(f, keep=ell), elimination_diagonal_form(f, keep=ell)
+        kind = normal_form_kind(form, u)
+        assert kind == normal_form_kind(expected, u), (f.terms, ell.terms)
+        assert len(form.terms) == len(expected.terms), (f.terms, ell.terms)
+        assert set(form.terms.values()) <= {1}
+        kinds[kind] += 1
+    assert sum(kinds.values()) >= 2000 and min(kinds.values()) >= 100 and len(kinds) == 3, kinds
 
 
 def test_quadratic_forms_match_the_rank_route():

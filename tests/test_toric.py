@@ -289,6 +289,17 @@ def test_window_count_refuses_a_level_past_the_cap_before_building_it():
     assert peak < 100_000
 
 
+def test_lattice_points_refuse_by_the_points_not_the_box():
+    # 1/7(1,2,4): one pairing vector in 7 is a lattice point, so a box past the limit can pass
+    ring = quotient_singularity(7, (1, 2, 4), 3)
+    caps = [20, 20, 20]
+    expected = brute_lattice_points(ring, caps)
+    assert expected.shape[1] < 2000 < 21**3
+    assert ring._lattice_points(caps, 2000, "too many").tolist() == expected.tolist()
+    with pytest.raises(ValueError, match="too many"):
+        ring._lattice_points(caps, expected.shape[1] - 1, "too many")
+
+
 def test_window_count_checks_the_deadline_before_allocating():
     ring = quotient_singularity(7, (1, 2, 4), 3)
     assert ring._pairing_basis  # cached on the ring; built here, outside the measurement
@@ -497,14 +508,14 @@ def test_divisor_arithmetic():
 
 def test_hilbert_basis_a1():
     ring = quotient_singularity(2, (1, 1), 3)
-    gens, _ = ring.hilbert_basis()
+    gens = ring.hilbert_basis()
     assert set(gens) == {(2, 0), (1, 1), (0, 2)}
 
 
 def test_hilbert_basis_quarter_1_3():
     # 1/4(1,3) is the A_3 double point: xy is already invariant.
     ring = quotient_singularity(4, (1, 3), 3)
-    gens, _ = ring.hilbert_basis()
+    gens = ring.hilbert_basis()
     assert set(gens) == {(4, 0), (1, 1), (0, 4)}
     assert set(gens) == brute_invariant_hilbert_basis(4, (1, 3), degree_bound=12)
 
@@ -512,7 +523,7 @@ def test_hilbert_basis_quarter_1_3():
 def test_hilbert_basis_quarter_veronese():
     # 1/4(1,1): all five quartics are needed.
     ring = quotient_singularity(4, (1, 1), 3)
-    gens, _ = ring.hilbert_basis()
+    gens = ring.hilbert_basis()
     assert set(gens) == {(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)}
     assert set(gens) == brute_invariant_hilbert_basis(4, (1, 1), degree_bound=12)
 
@@ -522,7 +533,7 @@ def test_hilbert_basis_brute_force_matrix():
                        (7, (1, 3)), (8, (1, 3)), (8, (3, 5))]:
         p = 11 if n % 11 else 13
         ring = quotient_singularity(n, weights, p)
-        gens, _ = ring.hilbert_basis()
+        gens = ring.hilbert_basis()
         assert set(gens) == brute_invariant_hilbert_basis(
             n, weights, degree_bound=2 * n + 2
         ), (n, weights)
@@ -530,10 +541,14 @@ def test_hilbert_basis_brute_force_matrix():
 
 def test_hilbert_basis_members_are_invariant():
     ring = quotient_singularity(8, (3, 5), 7)
-    gens, bound = ring.hilbert_basis()
+    gens = ring.hilbert_basis()
+    rays = ring.extreme_rays()
+    heights = [ring.pairing(r)[i] for i, r in enumerate(rays)]
     for u in gens:
         assert (3 * u[0] + 5 * u[1]) % 8 == 0
-        assert sum(u) <= bound
+        c = ring.intrinsic_from_ambient(u)
+        # an extreme ray, or a point of the fundamental parallelepiped
+        assert c in rays or all(0 <= y < h for y, h in zip(ring.pairing(c), heights)), c
 
 
 # -- exact volumes ------------------------------------------------------------------
