@@ -1,6 +1,8 @@
 """Frobenius splitting numbers, F-signature, finite covers, and order bounds.
 
-Two computational backends share one vocabulary:
+Two computational backends share one vocabulary, the ring-kind methods
+``splitting_number(delta, e, deadline)`` and ``exact_fsig(delta)`` (None
+on a presentation), by which ``fsig_sequence`` and ``fsig_value`` pick one:
 
 - an exact lattice backend for simplicial toric and cyclic quotient
   singularities (``toric``), where splitting numbers are certified

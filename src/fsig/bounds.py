@@ -71,11 +71,9 @@ def pi1_order_bound(
                            bound_interval=(math.floor(1 / hi), math.floor(1 / lo)),
                            note="provisional: truncated sequence estimate")
     attained = None
-    if delta is None and ring.group_order is not None and ring.group_weights is not None:
-        n = ring.group_order
-        if ring.small and n == bound:
-            cover = quotient_cover(ring, 1)
-            attained = cover.etale_in_codim1 and cover.degree == bound
+    if delta is None and ring.small and ring.group_order == bound:
+        cover = quotient_cover(ring, 1)
+        attained = cover.etale_in_codim1 and cover.degree == bound
     return BoundReport(s, True, bound, ring.p, "A", attained=attained,
                        note="admissible cover degrees are prime to p")
 
@@ -124,7 +122,7 @@ def etale_cover_search(ring: ToricRing, deadline: float | None = None) -> list[C
     is empty.  The divisors of the group order come from trial division,
     which raises ``BudgetExceeded`` past ``deadline`` (``_trial_divisors``).
     """
-    if ring.group_order is None or ring.group_weights is None or ring.group_order == 1:
+    if ring.group_order is None or ring.group_order == 1:
         return []
     n = ring.group_order
     small_divisors = list(_trial_divisors(n, deadline, "the cover search"))

@@ -194,7 +194,7 @@ def quotient_cover(lower: ToricRing, m: int) -> CoverDescriptor:
     the same weights reduced mod m.  Only the upper ring is built.
     """
     n, weights = lower.group_order, lower.group_weights
-    if n is None or weights is None:
+    if n is None:
         raise CoverConstructionError("quotient covers need a cyclic quotient presentation")
     if m < 1 or n % m:
         raise CoverConstructionError(f"m = {m} must divide n = {n}")
@@ -473,7 +473,7 @@ def chain_simulation(ring: ToricRing, deadline: float | None = None) -> ChainRep
     candidate (``_trial_divisors``), so the walk stops before a step once
     the deadline has passed.
     """
-    if ring.group_order is None or ring.group_weights is None:
+    if ring.group_order is None:
         raise ValueError("chain simulation needs a cyclic quotient presentation")
     steps = []
     s_values = [toric_fsig_exact(ring)]

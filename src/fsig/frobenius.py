@@ -10,10 +10,10 @@ is monomial, or one linear form on such a quadratic form; every other
 twist is ranked on P/m^[q] itself.  The Groebner route
 (``method="colon"``) cross-checks it without linear algebra: the exact
 sequence 0 -> P/(m^[q] : g) -> P/m^[q] -> P/(m^[q], g) -> 0 gives
-a_e = q^n - lambda(P/(m^[q], g)).  fsig_sequence also takes a toric
-ring, whose splitting numbers are the lattice window counts of
-fsig.toric; fsig_value picks between that estimate and the exact
-lattice value.
+a_e = q^n - lambda(P/(m^[q], g)).  fsig_sequence and fsig_value take any
+ring kind with the methods ``splitting_number(delta, e, deadline)`` and
+``exact_fsig(delta)``: a RingPresentation ranks twists and has no exact
+value, a ToricRing counts lattice windows and gives the exact volume.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .ideals import Ideal, frobenius_power, ideal_sum, normal_form, quotient_len
 from .linalg import find_positive_weights, multiplication_rank
 from .poly import Polynomial
 from .sebastiani import separated_colength, separated_splitting_number
-from .toric import ToricRing, TorusQDivisor, toric_fsig_exact, toric_splitting_number
+from .toric import ToricRing, TorusQDivisor
 
 FLOOR_PE = "floor_pe"
 CEIL_PE_MINUS_1 = "ceil_pe_minus_1"
@@ -102,6 +102,16 @@ class RingPresentation:
         gens = [Polynomial.variable(i, self.p, self.nvars) for i in range(self.nvars)]
         return Ideal(self.p, self.nvars, gens)
 
+    sequence_note = ""  # the ring-kind interface of fsig_sequence and fsig_value
+
+    def splitting_number(self, delta: PairDivisor | None, e: int, deadline: float | None = None) -> int:
+        """a_e as the rank of the Fedder twist (``splitting_number``)."""
+        return splitting_number(self, delta, e, deadline=deadline)
+
+    def exact_fsig(self, delta: PairDivisor | None) -> None:
+        """None: the limit of a presentation's sequence is only estimated."""
+        return None
+
 
 def in_bracket_maximal(g: Polynomial, q: int) -> bool:
     """Membership in m^[q]: every term divisible by some x_i^q."""
@@ -139,9 +149,6 @@ class PairDivisor:
     def empty(cls) -> PairDivisor:
         return cls(())
 
-    def is_empty(self) -> bool:
-        return not self.components
-
     def check_floor_zero(self) -> None:
         for _, t in self.components:
             if t >= 1:
@@ -162,8 +169,10 @@ def _pair_factors(
     ring: RingPresentation, delta: PairDivisor | None, q: int
 ) -> list[tuple[Polynomial, int]]:
     """The pair's twist factors (g_j, r_j) with r_j > 0 at scale q, after its checks."""
-    if delta is None or delta.is_empty():
+    if delta is None:
         return []
+    if not isinstance(delta, PairDivisor):
+        raise ValueError("a presentation takes divisor components (PairDivisor) as its pair")
     delta.check_floor_zero()
     for comp, _ in delta.components:
         if comp.p != ring.p or comp.nvars != ring.nvars:
@@ -327,28 +336,25 @@ def fsig_sequence(
 ) -> SplittingSequence:
     """Splitting numbers a_e for e = 1..e_max with the normalized estimate.
 
-    A ToricRing (with a TorusQDivisor pair) takes its a_e from the lattice
-    window counts, a RingPresentation (with a PairDivisor) from
-    ``splitting_number``.  ``deadline`` is checked before each e, before
-    each level of a window count's lattice walk, and on a presentation
-    before each graded block or in the separated engine's walk; past it
-    ``BudgetExceeded`` carries the records finished so far.  A level
-    refused with ``ValueError`` (too large for every route) after others
-    finished raises ``LevelRefused``, which carries their records.
+    Each a_e is ``ring.splitting_number(delta, e, deadline)``: the lattice
+    window count on a ToricRing (with a TorusQDivisor pair), the twist's
+    rank on a RingPresentation (with a PairDivisor); the note starts with
+    the ring's ``sequence_note``.  ``deadline`` is checked before each e,
+    before each level of a window count's lattice walk, and on a
+    presentation before each graded block or in the separated engine's
+    walk; past it ``BudgetExceeded`` carries the records finished so far.
+    A level refused with ``ValueError`` (too large for every route) after
+    others finished raises ``LevelRefused``, which carries their records.
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
-    toric = isinstance(ring, ToricRing)
     records: list[SplittingRecord] = []
     for e in range(1, e_max + 1):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded(f"time budget exhausted before e = {e}", records)
         q = ring.p**e
         try:
-            if toric:
-                a_e = toric_splitting_number(ring, delta, e, deadline=deadline)
-            else:
-                a_e = splitting_number(ring, delta, e, deadline=deadline)
+            a_e = ring.splitting_number(delta, e, deadline)
         except TimeoutError:
             raise BudgetExceeded(f"time budget exhausted during e = {e}", records) from None
         except ValueError as exc:
@@ -358,10 +364,8 @@ def fsig_sequence(
             raise LevelRefused(message, records) from exc
         records.append(SplittingRecord(e, q, a_e, Fraction(a_e, q**ring.d)))
     extrapolated, consistent, monotone = sequence_diagnostics(records)
-    sequence = SplittingSequence(records, records[-1].normalized, extrapolated, consistent, monotone)
-    if toric:
-        sequence.note = "window counts; " + sequence.note
-    return sequence
+    return SplittingSequence(records, records[-1].normalized, extrapolated, consistent, monotone,
+                             ring.sequence_note + SplittingSequence.note)
 
 
 @dataclass(frozen=True)
@@ -389,18 +393,18 @@ def fsig_value(
 ) -> FSignature:
     """The F-signature from the backend the ring and ``backend`` select.
 
-    ``auto`` gives the exact lattice value iff the ring is a ToricRing,
-    ``toric`` requires one, and ``sequence`` estimates s from
-    ``fsig_sequence(ring, delta, e_max, deadline)`` on either kind of ring.
+    ``auto`` gives ``ring.exact_fsig(delta)`` when the ring kind has an
+    exact value (a ToricRing: the lattice volume), ``toric`` requires
+    one, and otherwise, or with ``sequence``, s is estimated from
+    ``fsig_sequence(ring, delta, e_max, deadline)``.
     """
     if backend not in ("auto", "toric", "sequence"):
         raise ValueError(f"unknown backend {backend!r}")
-    toric = isinstance(ring, ToricRing)
-    if backend == "toric" and not toric:
-        raise ValueError("backend=toric requires a toric or quotient ring")
-    if toric and backend != "sequence":
-        s = toric_fsig_exact(ring, delta)
+    s = None if backend == "sequence" else ring.exact_fsig(delta)
+    if s is not None:
         return FSignature(s, True, (s, s))
+    if backend == "toric":
+        raise ValueError("backend=toric requires a toric or quotient ring")
     seq = fsig_sequence(ring, delta, e_max=e_max, deadline=deadline)
     fit = seq.last if seq.extrapolated is None else seq.extrapolated
     return FSignature(min(seq.last, seq.estimate), False, (min(seq.last, fit), max(seq.last, fit)), seq)

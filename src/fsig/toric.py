@@ -249,18 +249,6 @@ class TorusQDivisor:
             raise ValueError("divisors live on different facet sets")
 
 
-def divisor_round(delta: TorusQDivisor, scalar, mode: str) -> TorusQDivisor:
-    """Componentwise floor or ceiling of scalar * delta, exactly."""
-    s = Fraction(scalar)
-    if mode == "floor":
-        vals = [Fraction(math.floor(s * c)) for c in delta.coefficients]
-    elif mode == "ceil":
-        vals = [Fraction(math.ceil(s * c)) for c in delta.coefficients]
-    else:
-        raise ValueError(f"unknown rounding mode {mode!r}")
-    return TorusQDivisor(tuple(vals))
-
-
 # -- rings -----------------------------------------------------------------
 
 
@@ -286,7 +274,6 @@ class ToricRing:
         embedding: Sequence[Sequence[int]] | None = None,
         group_order: int | None = None,
         group_weights: tuple[int, ...] | None = None,
-        small: bool | None = None,
         label: str = "",
     ):
         self.p = p
@@ -309,13 +296,29 @@ class ToricRing:
         self.embedding: tuple[Vector, ...] = tuple(tuple(int(x) for x in row) for row in embedding)
         self.group_order = group_order
         self.group_weights = group_weights
-        self.small = small
         self.label = label or f"toric ring on {self.normals}"
 
     @classmethod
     def regular(cls, p: int, d: int) -> ToricRing:
         eye = [[int(i == j) for j in range(d)] for i in range(d)]
         return cls(p, eye, label=f"regular rank {d}")
+
+    @property
+    def small(self) -> bool | None:
+        """Whether the cyclic group acts freely in codimension one; None without a group."""
+        return None if self.group_order is None else _is_small(self.group_order, self.group_weights)
+
+    # -- the ring-kind interface of fsig.frobenius --
+
+    sequence_note = "window counts; "
+
+    def splitting_number(self, delta: TorusQDivisor | None, e: int, deadline: float | None = None) -> int:
+        """a_e as a lattice window count (``toric_splitting_number``)."""
+        return toric_splitting_number(self, delta, e, deadline=deadline)
+
+    def exact_fsig(self, delta: TorusQDivisor | None) -> Fraction:
+        """The exact F-signature, the window polytope's volume (``toric_fsig_exact``)."""
+        return toric_fsig_exact(self, delta)
 
     # -- lattice plumbing --
 
@@ -487,9 +490,10 @@ def _is_small(n: int, weights: Sequence[int]) -> bool:
 def quotient_singularity(n: int, weights: Sequence[int], p: int) -> ToricRing:
     """The invariant ring of the order-n cyclic action with the given weights.
 
-    Records whether the action is small (free in codimension one): no
-    group element fixes a hyperplane, equivalently for every 1 <= j < n
-    at most d-2 of the j*a_i vanish mod n.
+    Records the group, from which ``small`` says whether the action is
+    small (free in codimension one): no group element fixes a
+    hyperplane, equivalently for every 1 <= j < n at most d-2 of the
+    j*a_i vanish mod n.
     """
     weights = tuple(int(a) % n if n > 1 else 0 for a in weights)
     d = len(weights)
@@ -505,8 +509,7 @@ def quotient_singularity(n: int, weights: Sequence[int], p: int) -> ToricRing:
         raise ValueError("gcd(n, weights) must be 1")
     if n == 1:
         eye = [[int(i == j) for j in range(d)] for i in range(d)]
-        return ToricRing(p, eye, group_order=1, group_weights=weights, small=True,
-                         label="regular (trivial quotient)")
+        return ToricRing(p, eye, group_order=1, group_weights=weights, label="regular (trivial quotient)")
     basis = congruence_lattice_basis(weights, n)
     normals = []
     for i in range(d):
@@ -518,7 +521,6 @@ def quotient_singularity(n: int, weights: Sequence[int], p: int) -> ToricRing:
         embedding=basis,
         group_order=n,
         group_weights=weights,
-        small=_is_small(n, weights),
         label=f"1/{n}{weights}",
     )
     det_b = ring._embedding_adjugate[1]
@@ -555,21 +557,24 @@ class FreeClassCertificate:
     region_bound: tuple[int, ...] | None = None
 
 
-def _window_widths(ring: ToricRing, delta: TorusQDivisor | None, q: int) -> list[int] | None:
-    """Facet windows q - 1 - floor(q * t_F); None when some window is empty."""
+def _facet_pair(ring: ToricRing, delta: TorusQDivisor | None) -> TorusQDivisor:
+    """The pair, checked: a TorusQDivisor with one coefficient t_F >= 0 per facet."""
     if delta is None:
-        delta = TorusQDivisor.zero(ring.nfacets)
+        return TorusQDivisor.zero(ring.nfacets)
+    if not isinstance(delta, TorusQDivisor):
+        raise ValueError("a toric ring takes facet coefficients (TorusQDivisor) as its pair")
     if len(delta.coefficients) != ring.nfacets:
         raise ValueError("divisor does not match the facet count")
+    if any(t < 0 for t in delta.coefficients):
+        raise ValueError("pair coefficients must be nonnegative")
+    return delta
+
+
+def _window_widths(ring: ToricRing, delta: TorusQDivisor | None, q: int) -> list[int]:
+    """Facet windows q - 1 - floor(q * t_F), each >= 0 since t_F < 1."""
+    delta = _facet_pair(ring, delta)
     delta.check_pair_range()
-    rounded = divisor_round(delta, q, "floor")
-    widths = []
-    for c in rounded.coefficients:
-        w = q - 1 - int(c)
-        if w < 0:
-            return None
-        widths.append(w)
-    return widths
+    return [q - 1 - math.floor(q * t) for t in delta.coefficients]
 
 
 _WINDOW_LIMIT = 20_000_000
@@ -592,8 +597,6 @@ def toric_splitting_number(
         raise ValueError("e must be a positive integer")
     q = ring.p**e
     widths = _window_widths(ring, delta, q)
-    if widths is None:
-        return 0
     return ring._lattice_count(widths, _WINDOW_LIMIT, _WINDOW_ERROR, deadline)
 
 
@@ -621,9 +624,7 @@ def toric_splitting_certificates(
     certs: dict[Vector, FreeClassCertificate] = {}
     for w in map(tuple, ring._lattice_points(free_widths, _WINDOW_LIMIT, _WINDOW_ERROR).T.tolist()):
         residue = tuple(x % q for x in w)
-        counted = widths is not None and all(
-            x <= limit for x, limit in zip(ring.pairing(w), widths)
-        )
+        counted = all(x <= limit for x, limit in zip(ring.pairing(w), widths))
         certs[residue] = FreeClassCertificate(
             q=q,
             residue=residue,
@@ -695,19 +696,10 @@ def toric_fsig_exact(ring: ToricRing, delta: TorusQDivisor | None = None) -> Fra
     under the facet pairing to a box, so the volume is the product of
     the widths over the pairing determinant.
     """
-    if delta is None:
-        delta = TorusQDivisor.zero(ring.nfacets)
-    if len(delta.coefficients) != ring.nfacets:
-        raise ValueError("divisor does not match the facet count")
-    for t in delta.coefficients:
-        if t < 0:
-            raise ValueError("pair coefficients must be nonnegative")
-        if t >= 1:
-            return Fraction(0)
-    volume = Fraction(1, ring.index)
-    for t in delta.coefficients:
-        volume *= 1 - t
-    return volume
+    delta = _facet_pair(ring, delta)
+    if any(t >= 1 for t in delta.coefficients):
+        return Fraction(0)
+    return math.prod((1 - t for t in delta.coefficients), start=Fraction(1, ring.index))
 
 
 def canonical_divisor(ring: ToricRing) -> TorusQDivisor:

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from fsig import frobenius
+from fsig import frobenius, toric
+from fsig.bounds import pi1_order_bound, purity_check
 from fsig.frobenius import (
     CEIL_PE_MINUS_1,
     FLOOR_PE,
@@ -29,7 +30,7 @@ from fsig.frobenius import (
 from fsig.ideals import Ideal, frobenius_power, ideal_sum, quotient_length
 from fsig.linalg import find_positive_weights
 from fsig.poly import Polynomial, parse_polynomial
-from fsig.toric import quotient_singularity
+from fsig.toric import TorusQDivisor, quotient_singularity
 
 from _oracles import brute_colon_complement_length, is_degenerate, is_f_pure
 
@@ -60,6 +61,60 @@ def test_fsig_value_dispatch(kind, backend):
     assert value.s == seq.extrapolated == Fraction(13, 27)
     assert value.interval == (Fraction(13, 27), Fraction(41, 81))
     assert seq.note.startswith("window counts") == (kind == "quotient")
+
+
+class _StubRing:
+    """A ring kind that is neither toric nor a presentation: a_e = q(q+1)/2 in dimension 2."""
+
+    p, d = 3, 2
+    sequence_note = "stub counts; "
+
+    def splitting_number(self, delta, e, deadline=None):
+        q = self.p**e
+        return q * (q + 1) // 2
+
+    def exact_fsig(self, delta):
+        return Fraction(1, 7)
+
+
+@pytest.mark.parametrize("backend", ["auto", "toric", "sequence"])
+def test_backend_rule_reads_the_ring_kind_interface(backend):
+    # fsig_sequence and fsig_value ask the ring for a_e and for its exact s,
+    # never for its class.
+    ring = _StubRing()
+    seq = fsig_sequence(ring, e_max=3)
+    assert [r.a_e for r in seq.records] == [6, 45, 378]
+    assert seq.note == "stub counts; estimate only, not the exact limit"
+    value = fsig_value(ring, backend=backend, e_max=3)
+    if backend == "sequence":
+        assert not value.exact and value.s == seq.extrapolated == Fraction(1, 2)
+        assert value.interval == (Fraction(1, 2), Fraction(14, 27))
+    else:
+        assert value.exact and value.s == Fraction(1, 7) and value.sequence is None
+
+
+def _quotient_with_components():
+    ring = quotient_singularity(3, (1, 2), 5)
+    return ring, PairDivisor.of([(Polynomial.variable(0, 5, 2), Fraction(1, 2))])
+
+
+def _hypersurface_with_facets():
+    f = parse_polynomial("x0*x1 - x2^2", 5, 3)
+    return RingPresentation.hypersurface(f), TorusQDivisor.of([Fraction(1, 2), 0])
+
+
+@pytest.mark.parametrize("mismatch", [_quotient_with_components, _hypersurface_with_facets])
+@pytest.mark.parametrize("call", [
+    fsig_value,
+    lambda ring, delta: fsig_value(ring, delta, backend="sequence"),
+    fsig_sequence,
+    pi1_order_bound,
+    purity_check,
+])
+def test_a_pair_of_the_other_ring_kind_is_a_value_error(mismatch, call):
+    ring, delta = mismatch()
+    with pytest.raises(ValueError, match="as its pair$"):
+        call(ring, delta)
 
 
 def test_fsig_value_single_record_and_unknown_backend():
@@ -348,14 +403,14 @@ def test_budget_checked_inside_a_window_count(monkeypatch):
     ring = quotient_singularity(7, (1, 2, 4), 3)
     clock = [0.0]
     monkeypatch.setattr(time, "monotonic", lambda: clock[0])
-    real_count = frobenius.toric_splitting_number
+    real_count = toric.toric_splitting_number
 
     def count_past_deadline(ring, delta, e, **kwargs):
         if e == 2:
             clock[0] = 2.0
         return real_count(ring, delta, e, **kwargs)
 
-    monkeypatch.setattr(frobenius, "toric_splitting_number", count_past_deadline)
+    monkeypatch.setattr(toric, "toric_splitting_number", count_past_deadline)
     with pytest.raises(BudgetExceeded, match="during e = 2") as err:
         fsig_sequence(ring, e_max=3, deadline=1.0)
     assert [r.a_e for r in err.value.records] == [3]

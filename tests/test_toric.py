@@ -18,7 +18,6 @@ from fsig.toric import (
     _minimal_elements,
     adjugate,
     canonical_divisor,
-    divisor_round,
     quotient_singularity,
     row_lattice_basis,
     row_reduction_transform,
@@ -482,16 +481,6 @@ def test_canonical_divisor_all_minus_one():
     ring = quotient_singularity(3, (1, 1), 5)
     k = canonical_divisor(ring)
     assert all(c == -1 for c in k.coefficients)
-
-
-def test_divisor_round_modes():
-    d = TorusQDivisor.of([Fraction(1, 2), Fraction(-1, 3)])
-    up = divisor_round(d, 3, "ceil")
-    down = divisor_round(d, 3, "floor")
-    assert list(up.coefficients) == [2, -1]   # ceil(3/2), ceil(-1)
-    assert list(down.coefficients) == [1, -1]
-    with pytest.raises(ValueError):
-        divisor_round(d, 3, "nearest")
 
 
 def test_divisor_arithmetic():
