@@ -78,7 +78,7 @@ from .frobenius import (
     sfr_witness,
     splitting_number,
 )
-from .ideals import Ideal, frobenius_power, quotient_length
+from .ideals import Ideal, frobenius_power, quotient_length, spoly
 from .poly import ParseError, Polynomial, parse_polynomial
 from .toric import (
     FreeClassCertificate,
@@ -152,6 +152,7 @@ __all__ = [
     "sequence_diagnostics",
     "sfr_witness",
     "splitting_number",
+    "spoly",
     "toric_fsig_exact",
     "toric_splitting_certificates",
     "toric_splitting_number",

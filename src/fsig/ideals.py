@@ -1,17 +1,23 @@
 """Ideals in GF(p)[x0..x{n-1}]: Buchberger, normal forms, bracket powers, lengths.
 
-The basis computation is plain Buchberger with the coprimality and chain
-criteria, followed by minimalization and interreduction, so each ideal
-has a unique reduced basis in the grevlex order, the only order used.
-Lengths are counted on the lead monomials by the pivot recursion, not
-monomial by monomial.  Scale targets are desk-sized instances; the
-Frobenius machinery avoids materializing large bases.
+The basis computation is Buchberger's algorithm with the Gebauer-Moller
+pair update (criteria B, M and F, and coprime leads) and the normal
+selection strategy, followed by interreduction, so each ideal has a
+unique reduced basis in the grevlex order, the only order used.  Every
+division, of S-polynomials, of generators, in the interreduction and in
+``normal_form``, runs through one loop, ``_reduce``, on term dicts with
+a heap of grevlex keys.  Lengths are counted on the lead monomials by
+the pivot recursion, not monomial by monomial.  Scale targets are
+desk-sized instances; the Frobenius machinery avoids materializing
+large bases.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
+from operator import add as _add, le as _le, sub as _sub
 from typing import Iterable, Sequence
 
 from .field import inverse_mod
@@ -26,66 +32,114 @@ from .poly import (
 )
 
 
-def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of f and g."""
-    mf, cf = f.leading_term()
-    mg, cg = g.leading_term()
-    lcm = monomial_lcm(mf, mg)
-    a = f.multiply_monomial(monomial_div(lcm, mf), inverse_mod(cf, f.p))
-    b = g.multiply_monomial(monomial_div(lcm, mg), inverse_mod(cg, g.p))
-    return a - b
+# A reducer is (lead, inverse lead coefficient, the other terms), computed
+# once per basis element.
+Reducer = tuple[Monomial, int, list[tuple[Monomial, int]]]
+
+# reduction steps between two deadline checks inside one reduction
+_STEPS_PER_CHECK = 256
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of multivariate division of f by the basis; deterministic."""
-    if not basis:
-        return f
-    p = f.p
-    leads = [(*g.leading_term(), g) for g in basis]
-    remainder = Polynomial.zero(p, f.nvars)
-    work = f
-    while not work.is_zero():
-        m, c = work.leading_term()
-        for lm, lc, g in leads:
-            if monomial_divides(lm, m):
-                factor = (c * inverse_mod(lc, p)) % p
-                work = work - g.multiply_monomial(monomial_div(m, lm), factor)
+def _reducer(g: Polynomial) -> Reducer:
+    lead, c = g.leading_term()
+    return lead, inverse_mod(c, g.p), [(m, v) for m, v in g.terms.items() if m != lead]
+
+
+def _check(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("time budget exhausted during a Groebner basis")
+
+
+def _reduce(work: dict[Monomial, int], reducers: Sequence[Reducer], p: int, deadline: float | None) -> dict[Monomial, int]:
+    """The remainder of the term dict ``work`` on division by ``reducers``.
+
+    The one reduction loop.  Terms come off a heap of grevlex keys,
+    largest first; a heap entry whose term was cancelled or already taken
+    is stale and skipped.  A term is divided by the first reducer whose
+    lead divides it, or moves to the remainder, which is therefore in
+    descending order.  ``work`` is consumed.  ``deadline`` is checked
+    every ``_STEPS_PER_CHECK`` division steps.
+    """
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapq.heapify(heap)
+    remainder: dict[Monomial, int] = {}
+    steps = 0
+    while heap:
+        m = heapq.heappop(heap)[2]
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for lead, inv, tail in reducers:
+            if all(map(_le, lead, m)):
                 break
         else:
-            mono = Polynomial.monomial(m, p, c)
-            remainder = remainder + mono
-            work = work - mono
+            remainder[m] = c
+            continue
+        steps += 1
+        if steps % _STEPS_PER_CHECK == 0:
+            _check(deadline)
+        factor = c * inv % p
+        u = tuple(map(_sub, m, lead))
+        for t, v in tail:
+            mm = tuple(map(_add, t, u))
+            old = work.get(mm)
+            if old is None:
+                work[mm] = -factor * v % p
+                heapq.heappush(heap, (-sum(mm), mm[::-1], mm))
+            else:
+                old = (old - factor * v) % p
+                if old:
+                    work[mm] = old
+                else:
+                    del work[mm]
     return remainder
 
 
-def _update_pairs(pairs: set[tuple[int, int]], leads: list[Monomial], new_index: int) -> None:
-    """Queue S-pairs for a new basis element, applying Buchberger's criteria."""
-    t = leads[new_index]
-    fresh = []
-    for i in range(new_index):
-        fresh.append((i, new_index))
-    # chain criterion against existing pairs
-    drop = set()
-    for (i, j) in pairs:
-        lij = monomial_lcm(leads[i], leads[j])
-        if (
-            monomial_divides(t, lij)
-            and monomial_lcm(leads[i], t) != lij
-            and monomial_lcm(leads[j], t) != lij
-        ):
-            drop.add((i, j))
-    pairs -= drop
-    # coprimality criterion on the fresh pairs
-    for (i, j) in fresh:
-        if not monomial_coprime(leads[i], leads[j]):
-            pairs.add((i, j))
+def _spoly_terms(f: Reducer, g: Reducer, p: int) -> dict[Monomial, int]:
+    """The S-polynomial of two reducers as a term dict; the leads cancel."""
+    lcm = monomial_lcm(f[0], g[0])
+    out: dict[Monomial, int] = {}
+    for (lead, inv, tail), sign in ((f, 1), (g, -1)):
+        u = monomial_div(lcm, lead)
+        factor = sign * inv
+        for t, v in tail:
+            mm = tuple(map(_add, t, u))
+            v = (out.get(mm, 0) + factor * v) % p
+            if v:
+                out[mm] = v
+            else:
+                out.pop(mm, None)
+    return out
+
+
+def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+    """S-polynomial of f and g."""
+    if f.p != g.p or f.nvars != g.nvars:
+        raise ValueError("polynomials live in different rings")
+    return Polynomial(f.p, f.nvars, _spoly_terms(_reducer(f), _reducer(g), f.p))
+
+
+def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+    """Remainder of multivariate division of f by the basis; deterministic.
+
+    Each term is divided by the first basis element whose lead divides it.
+    """
+    if not basis:
+        return f
+    return Polynomial(f.p, f.nvars, _reduce(dict(f.terms), [_reducer(g) for g in basis], f.p, None))
 
 
 def buchberger(generators: Iterable[Polynomial], deadline: float | None = None) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of the span of ``generators``.
 
-    Past ``deadline`` (a ``time.monotonic()`` value, checked before each
-    S-pair reduction) it raises ``TimeoutError``.
+    Each generator is reduced by the basis so far before it joins.  S-pairs
+    come off a heap in the normal strategy (least lcm first), and each new
+    element updates the pairs by Gebauer-Moller (``_update_pairs``).  The
+    final basis is interreduced, made monic and sorted by lead, largest
+    first.  Past ``deadline`` (a ``time.monotonic()`` value) it raises
+    ``TimeoutError``: the deadline is checked before each S-pair, before
+    each element of the interreduction, and every ``_STEPS_PER_CHECK``
+    division steps inside one reduction.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -94,44 +148,72 @@ def buchberger(generators: Iterable[Polynomial], deadline: float | None = None) 
     for g in gens:
         if g.p != p or g.nvars != nvars:
             raise ValueError("generators live in different rings")
-    basis: list[Polynomial] = []
-    leads: list[Monomial] = []
-    pairs: set[tuple[int, int]] = set()
+    elements: list[Reducer] = []  # every element ever added, by index
+    active: list[int] = []  # the elements whose leads no later lead divides
+    pairs: dict[tuple[int, int], Monomial] = {}  # pending pair -> lcm of its leads
+    heap: list[tuple] = []
+
+    def add(terms: dict[Monomial, int]) -> None:
+        # terms is a remainder, so its first term is its lead
+        lead = next(iter(terms))
+        inv = inverse_mod(terms.pop(lead), p)
+        elements.append((lead, 1, [(m, v * inv % p) for m, v in terms.items()]))
+        for i, j, lcm in _update_pairs(elements, active, pairs):
+            pairs[i, j] = lcm
+            heapq.heappush(heap, (_grevlex_key(lcm), j, i))
+
     for g in gens:
-        basis.append(g)
-        leads.append(g.leading_monomial())
-        _update_pairs(pairs, leads, len(basis) - 1)
-    while pairs:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("time budget exhausted during a Groebner basis")
-        i, j = min(pairs, key=lambda ij: _grevlex_key(monomial_lcm(leads[ij[0]], leads[ij[1]])))
-        pairs.discard((i, j))
-        s = normal_form(spoly(basis[i], basis[j]), basis)
-        if s.is_zero():
+        h = _reduce(dict(g.terms), [elements[i] for i in active], p, deadline)
+        if h:
+            add(h)
+    while heap:
+        _, j, i = heapq.heappop(heap)
+        if pairs.pop((i, j), None) is None:
             continue
-        basis.append(s)
-        leads.append(s.leading_monomial())
-        _update_pairs(pairs, leads, len(basis) - 1)
-    return _reduce_basis(basis)
-
-
-def _reduce_basis(basis: list[Polynomial]) -> tuple[Polynomial, ...]:
-    """Minimalize and interreduce, returning monic generators sorted by lead."""
-    basis = [g.monic() for g in basis if not g.is_zero()]
-    leads = [g.leading_monomial() for g in basis]
-    keep = []
-    for i, lm in enumerate(leads):
-        if any(j != i and monomial_divides(leads[j], lm) and (not monomial_divides(lm, leads[j]) or j < i) for j in range(len(basis))):
-            continue
-        keep.append(i)
-    minimal = [basis[i] for i in keep]
+        _check(deadline)
+        h = _reduce(_spoly_terms(elements[i], elements[j], p), [elements[k] for k in active], p, deadline)
+        if h:
+            add(h)
+    basis = sorted((elements[i] for i in active), key=lambda r: _grevlex_key(r[0]), reverse=True)
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(g, others).monic())
-    reduced = [g for g in reduced if not g.is_zero()]
-    reduced.sort(key=lambda g: _grevlex_key(g.leading_monomial()), reverse=True)
+    for k, (lead, _, tail) in enumerate(basis):
+        _check(deadline)
+        reduced.append(Polynomial(p, nvars, {lead: 1, **_reduce(dict(tail), basis[:k] + basis[k + 1 :], p, deadline)}))
     return tuple(reduced)
+
+
+def _update_pairs(
+    elements: list[Reducer], active: list[int], pairs: dict[tuple[int, int], Monomial]
+) -> list[tuple[int, int, Monomial]]:
+    """Gebauer-Moller UPDATE for the newest element h: the pairs it adds.
+
+    This is UPDATE of Becker-Weispfenning (1993).  A fresh pair (g, h) is
+    dropped when the lcm of a fresh pair examined after it, or of one
+    kept before it, divides its lcm (criterion M, and F for equal lcms);
+    a pair with coprime leads is kept through that pass, to drop others,
+    and left out of the result.  A pending pair (i, j) is deleted from
+    ``pairs`` when lead(h) divides its lcm and neither lcm(lead(i),
+    lead(h)) nor lcm(lead(j), lead(h)) equals it (criterion B).
+    ``active`` loses the elements whose lead lead(h) divides and gains h.
+    """
+    h = len(elements) - 1
+    t = elements[h][0]
+    fresh = [(g, monomial_lcm(elements[g][0], t)) for g in active]
+    kept: list[tuple[int, Monomial]] = []
+    for k, (g, lcm) in enumerate(fresh):
+        if monomial_coprime(elements[g][0], t) or not any(
+            monomial_divides(other, lcm) for _, other in fresh[k + 1 :] + kept
+        ):
+            kept.append((g, lcm))
+    for (i, j), lcm in list(pairs.items()):
+        if (
+            monomial_divides(t, lcm)
+            and monomial_lcm(elements[i][0], t) != lcm
+            and monomial_lcm(elements[j][0], t) != lcm
+        ):
+            del pairs[i, j]
+    active[:] = [g for g in active if not monomial_divides(t, elements[g][0])] + [h]
+    return [(g, h, lcm) for g, lcm in kept if not monomial_coprime(elements[g][0], t)]
 
 
 class Ideal:
@@ -208,9 +290,14 @@ def quotient_length(ideal: Ideal, deadline: float | None = None) -> int | float:
 def _minimal_monomials(monomials: Iterable[Monomial]) -> list[Monomial]:
     """The minimal generators of the monomial ideal spanned by ``monomials``."""
     kept: list[Monomial] = []
-    # a proper divisor has lower degree, so it is kept before its multiples
+    below = 0  # kept[:below] have lower degree than the monomial at hand
+    degree = None
+    # a proper divisor has lower degree, so it is kept before its multiples,
+    # and distinct monomials of one degree never divide each other
     for m in sorted(set(monomials), key=sum):
-        if not any(monomial_divides(k, m) for k in kept):
+        if sum(m) != degree:
+            degree, below = sum(m), len(kept)
+        if not any(monomial_divides(k, m) for k in kept[:below]):
             kept.append(m)
     return kept
 
@@ -258,5 +345,10 @@ def _count_standard_monomials(leads: Iterable[Monomial], nvars: int, deadline: f
         # gens is minimal and holds x_i^(caps[i]) with k < caps[i], so adding
         # x_i^k only drops the leads it divides
         work.append([m for m in gens if m[i] < k] + [pivot])
-        work.append(_minimal_monomials(m[:i] + (max(m[i] - k, 0),) + m[i + 1 :] for m in gens))
+        # dividing by x_i^k keeps the leads with m[i] > k pairwise
+        # non-dividing (Bigatti 1997); the others lose x_i, so no lead
+        # that keeps x_i divides them, and only they can divide one
+        low = _minimal_monomials(m[:i] + (0,) + m[i + 1 :] for m in gens if m[i] <= k)
+        high = (m[:i] + (m[i] - k,) + m[i + 1 :] for m in gens if m[i] > k)
+        work.append(low + [m for m in high if not any(monomial_divides(b, m) for b in low)])
     return count

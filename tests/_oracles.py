@@ -1,8 +1,8 @@
 """Brute-force reference implementations used only by the test suite.
 
 Everything here trades efficiency for obviousness: direct enumeration,
-no Groebner bases, no lattice transforms, no linear algebra beyond
-what the statement itself demands.  Production code must agree with
+no Groebner bases beyond plain Buchberger, no lattice transforms, no
+linear algebra beyond what the statement itself demands.  Production code must agree with
 these on every case small enough to enumerate.
 """
 
@@ -19,7 +19,16 @@ import numpy as np
 from fsig.frobenius import RingPresentation, in_bracket_maximal
 from fsig.field import is_prime, rank_mod_p_reference
 from fsig.linalg import _plan, _rank_inplace
-from fsig.poly import Polynomial, default_names
+from fsig.field import inverse_mod
+from fsig.poly import (
+    Polynomial,
+    _grevlex_key,
+    default_names,
+    monomial_coprime,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+)
 from fsig.toric import TorusQDivisor
 
 
@@ -439,3 +448,97 @@ def rank_mod_p(matrix, p: int) -> int:
         return rank_mod_p_reference(A.tolist(), p)
     A = np.mod(A, p).astype(dtype)
     return _rank_inplace(A, p, block)
+
+
+def _plain_spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+    mf, cf = f.leading_term()
+    mg, cg = g.leading_term()
+    lcm = monomial_lcm(mf, mg)
+    a = f.multiply_monomial(monomial_div(lcm, mf), inverse_mod(cf, f.p))
+    b = g.multiply_monomial(monomial_div(lcm, mg), inverse_mod(cg, g.p))
+    return a - b
+
+
+def _plain_normal_form(f: Polynomial, basis) -> Polynomial:
+    """Multivariate division by whole polynomials, the lead found by a scan each step."""
+    if not basis:
+        return f
+    p = f.p
+    leads = [(*g.leading_term(), g) for g in basis]
+    remainder = Polynomial.zero(p, f.nvars)
+    work = f
+    while not work.is_zero():
+        m, c = work.leading_term()
+        for lm, lc, g in leads:
+            if monomial_divides(lm, m):
+                factor = (c * inverse_mod(lc, p)) % p
+                work = work - g.multiply_monomial(monomial_div(m, lm), factor)
+                break
+        else:
+            mono = Polynomial.monomial(m, p, c)
+            remainder = remainder + mono
+            work = work - mono
+    return remainder
+
+
+def _plain_update_pairs(pairs: set, leads: list, new_index: int) -> None:
+    t = leads[new_index]
+    drop = set()
+    for (i, j) in pairs:
+        lij = monomial_lcm(leads[i], leads[j])
+        if (
+            monomial_divides(t, lij)
+            and monomial_lcm(leads[i], t) != lij
+            and monomial_lcm(leads[j], t) != lij
+        ):
+            drop.add((i, j))
+    pairs -= drop
+    for i in range(new_index):
+        if not monomial_coprime(leads[i], t):
+            pairs.add((i, new_index))
+
+
+def _plain_reduce_basis(basis: list) -> tuple:
+    basis = [g.monic() for g in basis if not g.is_zero()]
+    leads = [g.leading_monomial() for g in basis]
+    keep = []
+    for i, lm in enumerate(leads):
+        if any(j != i and monomial_divides(leads[j], lm) and (not monomial_divides(lm, leads[j]) or j < i) for j in range(len(basis))):
+            continue
+        keep.append(i)
+    minimal = [basis[i] for i in keep]
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1 :]
+        reduced.append(_plain_normal_form(g, others).monic())
+    reduced = [g for g in reduced if not g.is_zero()]
+    reduced.sort(key=lambda g: _grevlex_key(g.leading_monomial()), reverse=True)
+    return tuple(reduced)
+
+
+def plain_buchberger(generators) -> tuple:
+    """The reduced grevlex basis by plain Buchberger: every pair queued
+    unless its leads are coprime, pruned only by the chain criterion, the
+    least lcm taken by a scan of all pending pairs, and each S-polynomial
+    divided by ``_plain_normal_form``; then minimalized and interreduced.
+    """
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        return ()
+    basis: list = []
+    leads: list = []
+    pairs: set = set()
+    for g in gens:
+        basis.append(g)
+        leads.append(g.leading_monomial())
+        _plain_update_pairs(pairs, leads, len(basis) - 1)
+    while pairs:
+        i, j = min(pairs, key=lambda ij: _grevlex_key(monomial_lcm(leads[ij[0]], leads[ij[1]])))
+        pairs.discard((i, j))
+        s = _plain_normal_form(_plain_spoly(basis[i], basis[j]), basis)
+        if s.is_zero():
+            continue
+        basis.append(s)
+        leads.append(s.leading_monomial())
+        _plain_update_pairs(pairs, leads, len(basis) - 1)
+    return _plain_reduce_basis(basis)

@@ -4,9 +4,12 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
+from fsig import ideals
+from fsig.frobenius import PairDivisor, RingPresentation, _twist
 from fsig.ideals import (
     Ideal,
     _count_standard_monomials,
@@ -17,9 +20,9 @@ from fsig.ideals import (
     quotient_length,
     spoly,
 )
-from fsig.poly import parse_polynomial
+from fsig.poly import Polynomial, parse_polynomial
 
-from _oracles import brute_standard_monomial_count
+from _oracles import brute_standard_monomial_count, plain_buchberger
 
 
 def poly(text, p=5, nvars=3, names=("x", "y", "z")):
@@ -115,6 +118,84 @@ def test_buchberger_stops_past_deadline():
         buchberger([poly("x^2 - y"), poly("x*y - z")], deadline=time.monotonic() - 1)
 
 
+class _Clock:
+    """Stands in for the ``time`` module of ``fsig.ideals``: a clock that never moves, and its reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return 100.0
+
+
+def test_buchberger_checks_the_deadline_outside_the_pair_loop(monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(ideals, "time", clock)
+    # coprime leads queue no S-pair; only the interreduction, x^5 + y^3 -> x^5 - z^2, is left
+    with pytest.raises(TimeoutError, match="during a Groebner basis"):
+        buchberger([poly("x^5 + y^3"), poly("y^3 + z^2")], deadline=99.0)
+    # one long reduction, (1 + x + y + z)^40 by x - y, and again no S-pair
+    gens = [poly("x - y", p=7), poly("(1 + x + y + z)^40", p=7)]
+    with pytest.raises(TimeoutError, match="during a Groebner basis"):
+        buchberger(gens, deadline=99.0)
+    clock.reads = 0
+    basis = buchberger(gens, deadline=101.0)
+    # more reads than the interreduction's one per element: the reduction reads the clock
+    assert clock.reads > 2 * len(basis)
+
+
+COLON_TWISTS = [
+    # hyper-mixed's colon requests, unscaled
+    ("x*y - z^2", 3, (), 2), ("x*y - z^3", 5, (), 2), ("x*y - z^2", 3, (("x + z", "1/3"),), 2),
+    # criterion 7's A_1 and A_2 at p in {3, 5}
+    *[(f"x*y - z^{n}", p, (), e) for n in (2, 3) for p in (3, 5) for e in (1, 2)],
+]
+
+
+@pytest.mark.parametrize("f, p, pair, e", COLON_TWISTS)
+def test_buchberger_matches_plain_buchberger_on_colon_twists(f, p, pair, e):
+    ring = RingPresentation.hypersurface(poly(f, p=p), names=("x", "y", "z"))
+    delta = PairDivisor.of([(poly(g, p=p), Fraction(t)) for g, t in pair]) if pair else None
+    q, g, _ = _twist(ring, delta, e)
+    gens = ideal_sum(Ideal.bracket_maximal(p, 3, q), Ideal(p, 3, [g])).generators
+    assert buchberger(gens) == plain_buchberger(gens)
+
+
+def test_buchberger_matches_plain_buchberger_on_random_ideals():
+    # zero-dimensional: a pure power of every variable, then random polynomials
+    rng = random.Random(20261021)
+    sizes = []
+    for _ in range(240):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randint(2, 3)
+        gens = [Polynomial.monomial(tuple(rng.randint(1, 6) if j == i else 0 for j in range(n)), p) for i in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            terms = {tuple(rng.randint(0, 5) for _ in range(n)): rng.randrange(1, p) for _ in range(rng.randint(1, 4))}
+            gens.append(Polynomial(p, n, terms))
+        rng.shuffle(gens)
+        basis = buchberger(gens)
+        assert basis == plain_buchberger(gens), gens
+        sizes.append(len(basis))
+    assert min(sizes) == 1 and max(sizes) > 8, sizes
+
+
+@pytest.mark.parametrize("p, nvars, gens", [
+    # the smallest ideals a seeded random search found where criterion B
+    # without its second equality test (a pending pair goes although
+    # lcm(lead(j), lead(h)) equals its lcm) changes the basis
+    (5, 3, ["x^5*y*z^4", "4*x^2*y*z^2", "x^5", "z^6", "x^4*y^4 + 2*x^5*y + 2*y^2*z^3 + 3*x^2*z^2", "y^6"]),
+    (2, 2, ["x^4*y^3 + x^3*y^4 + x^5 + x^2*y^3 + x^2*y^2", "x^4*y^5 + x^5*y^3", "y^6", "x^6"]),
+    # ... and where dropping both of two fresh pairs with equal lcm does
+    (3, 3, ["x^4", "y^6", "2*x^4*y^2*z^4 + 2*x*y^2*z^4 + 2*x^3*y^2*z + 2*y^3*z^2 + y^3*z", "z^6"]),
+    (2, 3, ["y^6", "x^6", "x^2*y^3*z^3 + x*y^3*z^3 + x^5*y + x*z^3 + y*z^2", "z^6",
+            "x^5*z^5 + x^4*y^4*z + x^4*y + x*y^3*z + x^3*y"]),
+])
+def test_buchberger_matches_plain_buchberger_where_a_looser_criterion_fails(p, nvars, gens):
+    gens = [poly(g, p=p, nvars=nvars, names=("x", "y", "z")[:nvars]) for g in gens]
+    assert buchberger(gens) == plain_buchberger(gens)
+
+
 def test_standard_monomial_count_stops_past_deadline():
     # the basis is cached first, so only the count can see the deadline
     ideal = ideal_sum(Ideal.bracket_maximal(3, 3, 9), Ideal(3, 3, [poly("x*y - z^2", p=3) ** 8]))
@@ -168,6 +249,25 @@ def test_standard_monomial_count_of_benchmark_lead_sets(leads, expected):
     caps = tuple(max(m[i] for m in leads) for i in range(3))
     assert brute_standard_monomial_count(leads, caps) == expected
     assert _count_standard_monomials(leads, 3, None) == expected
+
+
+def test_standard_monomial_count_of_random_staircases():
+    # up to 40 raw leads on caps up to 14, so the colon branches split them many times over
+    rng = random.Random(20261022)
+    for _ in range(60):
+        n = rng.randint(2, 3)
+        caps = tuple(rng.randint(4, 14) for _ in range(n))
+        leads = [tuple(c if j == i else 0 for j in range(n)) for i, c in enumerate(caps)]
+        leads += [tuple(rng.randint(0, c - 1) for c in caps) for _ in range(rng.randint(5, 40))]
+        assert _count_standard_monomials(leads, n, None) == brute_standard_monomial_count(leads, caps), leads
+
+
+def test_standard_monomial_count_of_a_long_staircase():
+    # (x, y)^2000: 2,001 leads of one degree, C(2001, 2) standard monomials
+    leads = [(a, 2000 - a) for a in range(2001)]
+    start = time.monotonic()
+    assert _count_standard_monomials(leads, 2, None) == 2_001_000
+    assert time.monotonic() - start < 1.0
 
 
 def test_standard_monomial_count_of_a_maximal_ideal_power():
