@@ -20,8 +20,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import jsonschema
-
 from .bounds import index_bound, pi1_order_bound, purity_check, veronese_bound
 from .covers import (
     NonEffectivePairError,
@@ -376,6 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _validation_error() -> type:
+    # jsonschema only explains a rejected document, so it is imported only
+    # when an exception reaches the clause that names this class
+    from jsonschema import ValidationError
+
+    return ValidationError
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
@@ -390,7 +396,7 @@ def main(argv=None) -> int:
     except (NonEffectivePairError, VerificationFailure) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
-    except (jsonschema.ValidationError, ValueError, RecursionError, OSError) as exc:
+    except (_validation_error(), ValueError, RecursionError, OSError) as exc:
         message = getattr(exc, "message", None) or str(exc)
         print(f"input error: {message.splitlines()[0]}", file=sys.stderr)
         return 2

@@ -250,9 +250,6 @@ class Ideal:
             self._basis = buchberger(self.generators, deadline)
         return self._basis
 
-    def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self.groebner()).is_zero()
-
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal(GF({self.p}), <{inside}>)"

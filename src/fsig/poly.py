@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-from .field import inverse_mod, is_prime
+from .field import is_prime
 
 Monomial = tuple[int, ...]
 
@@ -105,9 +105,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def support(self) -> list[Monomial]:
-        return list(self.terms)
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1
@@ -117,9 +114,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("the zero polynomial has no leading monomial")
         return max(self.terms, key=_grevlex_key)
-
-    def leading_coefficient(self) -> int:
-        return self.terms[self.leading_monomial()]
 
     def leading_term(self) -> tuple[Monomial, int]:
         m = self.leading_monomial()
@@ -199,18 +193,6 @@ class Polynomial:
             return self
         p = self.p
         return self._raw({m: (c * v) % p for m, v in self.terms.items()})
-
-    def monic(self) -> Polynomial:
-        if not self.terms:
-            return self
-        return self.scale(inverse_mod(self.leading_coefficient(), self.p))
-
-    def multiply_monomial(self, m: Monomial, c: int = 1) -> Polynomial:
-        c %= self.p
-        if c == 0:
-            return Polynomial.zero(self.p, self.nvars)
-        p = self.p
-        return self._raw({tuple(x + y for x, y in zip(mm, m)): (cc * c) % p for mm, cc in self.terms.items()})
 
     def __pow__(self, k: int) -> Polynomial:
         if k < 0:

@@ -90,8 +90,9 @@ def separated_splitting_number(
     quadratic form at odd p; ``factors`` are pairs (g, r) with r > 0,
     either all monomials or one linear form on a quadratic f at odd p
     (see the module docstring).  Past ``deadline`` (a ``time.monotonic()``
-    value, checked before the walk and every 1024 ranks of a product) it
-    raises ``TimeoutError``.  ``ValueError`` comes before any loop for a q
+    value, checked before the walk, every 1024 ranks of a product, before
+    each pair of sizes a product adds up and every 1024 sizes of the last
+    count) it raises ``TimeoutError``.  ``ValueError`` comes before any loop for a q
     past ``_MAX_Q``, and before a product's loop when it pairs more than
     ``_MAX_PAIRS`` sizes or the walk's products pass ``_MAX_STEPS``.
     """
@@ -109,7 +110,7 @@ def separated_splitting_number(
     if min(caps) <= 0:
         return 0
     types = _last_types(f, tuple(caps), deadline)
-    return None if types is None else free_count(*types, q)
+    return None if types is None else free_count(*types, q, deadline)
 
 
 def separated_colength(f: Polynomial, caps: tuple[int, ...], deadline: float | None = None) -> int | None:
@@ -121,7 +122,7 @@ def separated_colength(f: Polynomial, caps: tuple[int, ...], deadline: float | N
     ``separated_splitting_number``, with the largest cap in place of q.
     """
     types = _last_types(f, caps, deadline)
-    return None if types is None else block_count(*types)
+    return None if types is None else block_count(*types, deadline)
 
 
 def _last_types(
@@ -147,8 +148,7 @@ def _last_types(
             f"exponent cap {max(caps)} is too large for the separated engine"
             f" (at most {_MAX_Q}; at m^[q] the cap is q)"
         )
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError(_TIMEOUT)
+    _check(deadline)
     types = sorted((monomial_type(m, caps) for m in f.terms), key=len)
     memo: dict[tuple[int, int], dict[int, int]] = {}
     while len(types) > 2:
@@ -269,8 +269,8 @@ def block_product(a: int, b: int, p: int, deadline: float | None = None) -> dict
     low = a - b
     ranks = []
     for k in range(low, a + b + 1):
-        if (k - low) % 1024 == 0 and deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError(_TIMEOUT)
+        if (k - low) % 1024 == 0:
+            _check(deadline)
         ranks.append(a * b - han_colength(a, b, k, p))
     return _jordan_type(ranks, low)
 
@@ -307,31 +307,40 @@ def han_colength(a: int, b: int, c: int, p: int) -> int:
     return (2 * (a * b + b * c + c * a) - a * a - b * b - c * c + delta * delta) // 4
 
 
-def free_count(left: dict[int, int], right: dict[int, int], q: int) -> int:
+def free_count(left: dict[int, int], right: dict[int, int], q: int,
+               deadline: float | None = None) -> int:
     """Blocks of size q in left (x) right, for types with blocks of size <= q.
 
     J_a (x) J_b holds max(0, a + b - q) = a - min(a, q - b) of them: sum n_a a
     times sum n_b, less the blocks of left (x) J_(q - b), where J_0 has none.
+    ``deadline`` is that of ``block_count``.
     """
     mirror = {q - b: n for b, n in right.items()}
     total = sum(a * n for a, n in left.items()) * sum(right.values())
-    return total - block_count(left, mirror)
+    return total - block_count(left, mirror, deadline)
 
 
-def block_count(left: dict[int, int], right: dict[int, int]) -> int:
+def block_count(left: dict[int, int], right: dict[int, int], deadline: float | None = None) -> int:
     """Jordan blocks of left (x) right.
 
     J_a (x) J_b has min(a, b) blocks in every characteristic: its cokernel
     is k[x, y]/(x^a, y^b, x + y) = k[x]/(x^min(a, b)).  min(a, b) counts
     the s <= a with s <= b, so the count is the sum over a of n_a times
-    the prefix sum up to a of (blocks of right of size >= s).
+    the prefix sum up to a of (blocks of right of size >= s).  Past
+    ``deadline``, checked every 1024 sizes of left, it raises
+    ``TimeoutError``.
     """
     top = max(right, default=0)
     # blocks of right of size >= s, for s from top down to 1
     at_least = list(accumulate(right.get(s, 0) for s in range(top, 0, -1)))
     # reach[s]: those counts summed over 1..s
     reach = [0, *accumulate(reversed(at_least))]
-    return sum(n * reach[min(a, top)] for a, n in left.items())
+    count = 0
+    for i, (a, n) in enumerate(left.items()):
+        if i % 1024 == 0:
+            _check(deadline)
+        count += n * reach[min(a, top)]
+    return count
 
 
 def _tensor(left: dict[int, int], right: dict[int, int], p: int, memo: dict,
@@ -347,6 +356,13 @@ def _tensor(left: dict[int, int], right: dict[int, int], p: int, memo: dict,
     out: Counter[int] = Counter()
     for a, m in left.items():
         for b, n in right.items():
+            _check(deadline)
             for size, k in memo[min(a, b), max(a, b)].items():
                 out[size] += m * n * k
     return dict(out)
+
+
+def _check(deadline: float | None) -> None:
+    """Raise ``TimeoutError`` once ``time.monotonic()`` is past ``deadline``."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError(_TIMEOUT)

@@ -6,16 +6,19 @@ one rule, ``report_json``: a Fraction becomes "num/den", a TorusQDivisor
 its coefficient list, a tuple a list, dicts and lists element by
 element, and anything else stays as it is.  Reports are written with
 sorted keys and a trailing newline, and are byte-identical for identical
-inputs once the timing sidecar is stripped.
+inputs once the timing sidecar is stripped.  A document is checked by a
+predicate compiled from DOCUMENT_SCHEMA at import; jsonschema is imported
+only to explain why a document was rejected.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import numbers
+import re
 from fractions import Fraction
-from typing import Any
-
-import jsonschema
+from typing import Any, Callable
 
 from .field import is_prime
 from .frobenius import CEIL_PE_MINUS_1, FLOOR_PE, PairDivisor, RingPresentation
@@ -192,15 +195,104 @@ DOCUMENT_SCHEMA = {
 }
 
 
-# Built once: jsonschema.validate would check DOCUMENT_SCHEMA against the
-# meta-schema on every call.  The schema's own validity is a test.
-_DOCUMENT_VALIDATOR = jsonschema.Draft202012Validator(DOCUMENT_SCHEMA)
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# The instance types of JSON Schema 2020-12, with "integer" strict: an
+# integral float such as 3.0 is not one, since the builders need an int.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": _is_integer,
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+}
+
+
+def compile_schema(schema: dict) -> Callable[[Any], bool]:
+    """A predicate that accepts exactly what Draft 2020-12 validation of
+    ``schema`` accepts, "integer" taken strictly.
+
+    It knows only the keywords DOCUMENT_SCHEMA uses, each applied to the
+    instance types the draft applies it to, and raises on any other, so a
+    schema edit it cannot follow fails at import instead of going unchecked.
+    """
+    checks = []
+    for key, value in schema.items():
+        if key == "type":
+            checks.append(_TYPES[value])
+        elif key == "const" and isinstance(value, str) or key == "enum" and all(
+            isinstance(v, str) for v in value
+        ):
+            # on strings jsonschema's equality is ==; on numbers it is not
+            allowed = {value} if key == "const" else set(value)
+            checks.append(lambda x, allowed=allowed: isinstance(x, str) and x in allowed)
+        elif key == "minimum":
+            checks.append(lambda x, m=value: not _TYPES["number"](x) or not x < m)
+        elif key == "exclusiveMinimum":
+            checks.append(lambda x, m=value: not _TYPES["number"](x) or not x <= m)
+        elif key == "pattern":
+            search = re.compile(value).search
+            checks.append(lambda x, search=search: not isinstance(x, str) or search(x) is not None)
+        elif key == "minItems":
+            checks.append(lambda x, n=value: not isinstance(x, list) or len(x) >= n)
+        elif key == "items":
+            item = compile_schema(value)
+            checks.append(lambda x, item=item: not isinstance(x, list) or all(map(item, x)))
+        elif key == "properties":
+            props = [(name, compile_schema(sub)) for name, sub in value.items()]
+            checks.append(lambda x, props=props: not isinstance(x, dict)
+                          or all(k not in x or ok(x[k]) for k, ok in props))
+        elif key == "required":
+            checks.append(lambda x, names=value: not isinstance(x, dict)
+                          or all(k in x for k in names))
+        elif key == "additionalProperties" and value is False:
+            known = set(schema.get("properties", ()))
+            checks.append(lambda x, known=known: not isinstance(x, dict) or x.keys() <= known)
+        elif key == "oneOf":
+            branches = [compile_schema(sub) for sub in value]
+            checks.append(lambda x, branches=branches: sum(ok(x) for ok in branches) == 1)
+        else:
+            raise ValueError(f"schema keyword {key!r}: {value!r} is not compiled")
+
+    def accepts(x) -> bool:
+        for check in checks:
+            if not check(x):
+                return False
+        return True
+
+    return accepts
+
+
+_document_ok = compile_schema(DOCUMENT_SCHEMA)
+
+
+@functools.cache
+def _strict_validator():
+    import jsonschema
+
+    base = jsonschema.Draft202012Validator
+    types = base.TYPE_CHECKER.redefine("integer", lambda checker, x: _is_integer(x))
+    return jsonschema.validators.extend(base, type_checker=types)(DOCUMENT_SCHEMA)
 
 
 def validate_document(doc: Any) -> None:
-    error = jsonschema.exceptions.best_match(_DOCUMENT_VALIDATOR.iter_errors(doc))
-    if error is not None:
-        raise error
+    """Raise unless ``doc`` is a valid spec document.
+
+    The check is a predicate compiled from DOCUMENT_SCHEMA at import.  A
+    document it rejects goes to jsonschema only to explain the rejection:
+    the strict validator's best-matching ``jsonschema.ValidationError`` is
+    raised, with its message, path and schema path.  jsonschema stays the
+    authority, so a document it finds no error in is accepted.  Then each
+    ``p`` of a ring, cover or veronese must be prime (``ValueError``).
+    """
+    if not _document_ok(doc):
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_strict_validator().iter_errors(doc))
+        if error is not None:
+            raise error
     for key in ("ring", "cover", "veronese"):
         sub = doc.get(key)
         if sub and "p" in sub and not is_prime(sub["p"]):

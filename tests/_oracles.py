@@ -17,6 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from fsig.frobenius import RingPresentation, in_bracket_maximal
+from fsig.ideals import Ideal, normal_form
 from fsig.field import is_prime, rank_mod_p_reference
 from fsig.linalg import _plan, _rank_inplace
 from fsig.field import inverse_mod
@@ -30,6 +31,28 @@ from fsig.poly import (
     monomial_lcm,
 )
 from fsig.toric import TorusQDivisor
+
+
+def support(f: Polynomial) -> list[tuple[int, ...]]:
+    """The exponent tuples of f's nonzero terms."""
+    return list(f.terms)
+
+
+def monic(f: Polynomial) -> Polynomial:
+    """f scaled so that its grevlex leading coefficient is 1 (0 stays 0)."""
+    if f.is_zero():
+        return f
+    return f.scale(inverse_mod(f.leading_term()[1], f.p))
+
+
+def multiply_monomial(f: Polynomial, m: tuple[int, ...], c: int = 1) -> Polynomial:
+    """c * x^m * f."""
+    return Polynomial(f.p, f.nvars, {tuple(x + y for x, y in zip(mm, m)): cc * c for mm, cc in f.terms.items()})
+
+
+def contains(ideal: Ideal, f: Polynomial) -> bool:
+    """Ideal membership: f reduces to 0 modulo the ideal's Groebner basis."""
+    return normal_form(f, ideal.groebner()).is_zero()
 
 
 def iter_box_monomials(caps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -110,7 +133,7 @@ def brute_colon_complement_length(g: Polynomial, q: int) -> int:
     col = {m: i for i, m in enumerate(box)}
     rows = []
     for mu in box:
-        prod = g.multiply_monomial(mu)
+        prod = multiply_monomial(g, mu)
         row = [0] * len(box)
         nonzero = False
         for m, c in prod.terms.items():
@@ -296,7 +319,7 @@ def brute_block_matrix(
     row = {m: i for i, m in enumerate(targets)}
     mat = [[0] * len(sources) for _ in targets]
     for j, mu in enumerate(sources):
-        for m, c in g.multiply_monomial(mu).terms.items():
+        for m, c in multiply_monomial(g, mu).terms.items():
             if all(e < cap for e, cap in zip(m, caps)):
                 mat[row[m]][j] = c
     return mat
@@ -454,8 +477,8 @@ def _plain_spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     mf, cf = f.leading_term()
     mg, cg = g.leading_term()
     lcm = monomial_lcm(mf, mg)
-    a = f.multiply_monomial(monomial_div(lcm, mf), inverse_mod(cf, f.p))
-    b = g.multiply_monomial(monomial_div(lcm, mg), inverse_mod(cg, g.p))
+    a = multiply_monomial(f, monomial_div(lcm, mf), inverse_mod(cf, f.p))
+    b = multiply_monomial(g, monomial_div(lcm, mg), inverse_mod(cg, g.p))
     return a - b
 
 
@@ -472,7 +495,7 @@ def _plain_normal_form(f: Polynomial, basis) -> Polynomial:
         for lm, lc, g in leads:
             if monomial_divides(lm, m):
                 factor = (c * inverse_mod(lc, p)) % p
-                work = work - g.multiply_monomial(monomial_div(m, lm), factor)
+                work = work - multiply_monomial(g, monomial_div(m, lm), factor)
                 break
         else:
             mono = Polynomial.monomial(m, p, c)
@@ -499,7 +522,7 @@ def _plain_update_pairs(pairs: set, leads: list, new_index: int) -> None:
 
 
 def _plain_reduce_basis(basis: list) -> tuple:
-    basis = [g.monic() for g in basis if not g.is_zero()]
+    basis = [monic(g) for g in basis if not g.is_zero()]
     leads = [g.leading_monomial() for g in basis]
     keep = []
     for i, lm in enumerate(leads):
@@ -510,7 +533,7 @@ def _plain_reduce_basis(basis: list) -> tuple:
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_plain_normal_form(g, others).monic())
+        reduced.append(monic(_plain_normal_form(g, others)))
     reduced = [g for g in reduced if not g.is_zero()]
     reduced.sort(key=lambda g: _grevlex_key(g.leading_monomial()), reverse=True)
     return tuple(reduced)

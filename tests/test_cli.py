@@ -184,6 +184,55 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["compute", "bounds"])
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"ring": {"type": "quotient", "n": 3.0, "weights": [1, 1], "p": 5}},
+         "3.0 is not of type 'integer'"),
+        ({"ring": {"type": "quotient", "n": 3, "weights": [1, 1.0], "p": 5}},
+         "1.0 is not of type 'integer'"),
+        ({"ring": {"type": "quotient", "n": 3, "weights": [1, 1], "p": 5}, "options": {"e_max": 2.0}},
+         "2.0 is not of type 'integer'"),
+        # p and nvars sit in every ring branch, so jsonschema names the ring, not the value
+        ({"ring": {"type": "quotient", "n": 3, "weights": [1, 1], "p": 5.0}},
+         "{'type': 'quotient', 'n': 3, 'weights': [1, 1], 'p': 5.0} is not valid under any"),
+        ({"ring": {"type": "hypersurface", "p": 3, "nvars": 3.0, "f": "x0*x1 - x2^2"}},
+         "{'type': 'hypersurface', 'p': 3, 'nvars': 3.0, 'f': 'x0*x1 - x2^2'} is not valid under any"),
+    ],
+)
+def test_integral_float_is_an_input_error(tmp_path, capsys, command, doc, message):
+    # an integral float is not an integer: the builders need an int, and 3.0
+    # used to reach them and end in a TypeError traceback
+    code, _ = run(tmp_path, command, doc)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+def _python(script: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    proc = _python("import sys, fsig.cli; sys.exit('jsonschema' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rejected_document_loads_jsonschema_to_explain(tmp_path):
+    spec = write_spec(tmp_path, "spec.json",
+                      {"ring": {"type": "quotient", "n": 3.0, "weights": [1, 1], "p": 5}})
+    proc = _python(
+        "import sys\n"
+        "from fsig import cli\n"
+        f"code = cli.main(['compute', '--spec', {spec!r}])\n"
+        "sys.exit(code if 'jsonschema' in sys.modules else 99)\n"
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "input error: 3.0 is not of type 'integer'\n"
+
+
 def test_block_past_the_cell_cap_is_refused(tmp_path, capsys):
     # Neither separated nor a quadratic form, so the rank route: at e = 3 the
     # weights (2, 2, 1, 2, 2) give a 51086 x 56350 block, 11.5 GB in float32.

@@ -22,7 +22,7 @@ from fsig.ideals import (
 )
 from fsig.poly import Polynomial, parse_polynomial
 
-from _oracles import brute_standard_monomial_count, plain_buchberger
+from _oracles import brute_standard_monomial_count, contains, plain_buchberger
 
 
 def poly(text, p=5, nvars=3, names=("x", "y", "z")):
@@ -51,21 +51,21 @@ def test_reduced_basis_is_canonical():
     b = buchberger([poly("x*y + z"), poly("x^2 + y")])
     assert set(a) == set(b)
     for f in a:
-        assert f.leading_coefficient() == 1
+        assert f.leading_term()[1] == 1
 
 
 def test_ideal_membership():
     ideal = Ideal(5, 3, [poly("x^2 - y"), poly("y^2 - z")])
-    assert ideal.contains(poly("x^4 - z"))
-    assert not ideal.contains(poly("x - 1"))
+    assert contains(ideal, poly("x^4 - z"))
+    assert not contains(ideal, poly("x - 1"))
 
 
 def test_frobenius_power_of_nonmonomial():
     # (x + y)^[q] = (x^q + y^q), not (x + y)^q.
     ideal = Ideal(3, 2, [parse_polynomial("x0 + x1", 3, 2)])
     bracket = frobenius_power(ideal, 9)
-    assert bracket.contains(parse_polynomial("x0^9 + x1^9", 3, 2))
-    assert not bracket.contains(parse_polynomial("(x0 + x1)^6", 3, 2))
+    assert contains(bracket, parse_polynomial("x0^9 + x1^9", 3, 2))
+    assert not contains(bracket, parse_polynomial("(x0 + x1)^6", 3, 2))
 
 
 def test_bracket_maximal_length():
@@ -98,7 +98,7 @@ def test_ideal_sum_contains_both():
     left = Ideal(5, 2, [parse_polynomial("x0^2", 5, 2)])
     right = Ideal(5, 2, [parse_polynomial("x1^2", 5, 2)])
     total = ideal_sum(left, right)
-    assert total.contains(parse_polynomial("x0^2 + x1^2", 5, 2))
+    assert contains(total, parse_polynomial("x0^2 + x1^2", 5, 2))
     assert quotient_length(total) == 4
 
 

@@ -252,6 +252,17 @@ def test_two_term_walks_stop_past_deadline():
         hk_length_sequence(ring, ring.maximal_ideal(), 2, deadline=time.monotonic() - 1)
 
 
+def test_last_counts_stop_past_deadline():
+    # the counts end a walk, so a deadline that passes after its last
+    # product still stops the walk instead of finishing the level late
+    past = time.monotonic() - 1
+    with pytest.raises(TimeoutError, match="during a tensor product"):
+        block_count({3: 1}, {2: 1}, past)
+    with pytest.raises(TimeoutError, match="during a tensor product"):
+        free_count({3: 1}, {2: 1}, 4, past)
+    assert block_count({3: 1}, {2: 1}, time.monotonic() + 60) == 2
+
+
 def test_engine_stops_inside_a_tensor_product():
     ring = hypersurface(QUADRIC, X4, 3)
     started = time.monotonic()

@@ -1,6 +1,8 @@
 """JSON schemas, rational string round-trips, and document builders."""
 
+import copy
 import json
+import random
 from fractions import Fraction
 
 import jsonschema
@@ -13,6 +15,7 @@ from fsig.serialize import (
     build_pair,
     build_ring,
     canonical_json,
+    compile_schema,
     fraction_string,
     parse_fraction_string,
     report_json,
@@ -22,6 +25,7 @@ from fsig.serialize import (
 from fsig.toric import ToricRing, TorusQDivisor
 
 from _oracles import variable_names
+from test_goldens import DOCUMENTS
 
 
 def test_fraction_string_round_trip():
@@ -82,6 +86,114 @@ def test_validate_raises_the_error_jsonschema_validate_raises(doc):
     assert got.value.message == expected.value.message
     assert got.value.path == expected.value.path
     assert got.value.schema_path == expected.value.schema_path
+
+
+# jsonschema's Draft 2020-12 validator with "integer" meaning an int that is not a bool
+STRICT = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)
+    ),
+)(DOCUMENT_SCHEMA)
+
+VALID = [doc for _, doc in DOCUMENTS.values()] + [
+    {"ring": {"type": "toric", "rays": [[1, 0], [1, 2]], "p": 5},
+     "pair": {"facet_coeffs": [1, "-1/2"]}, "divisor_class": [1, -1]},
+    {"ring": {"type": "regular", "p": 3, "nvars": 2, "names": ["x", "y"]},
+     "pair": {"components": [{"g": "x", "t": 1}, {"g": "y", "t": "2/3"}],
+              "convention": CEIL_PE_MINUS_1}},
+    {"ring": {"type": "hypersurface", "p": 5, "nvars": 3, "f": "x*y - z^2", "names": ["x", "y", "z"]},
+     "options": {"e_max": 3, "backend": "auto", "time_budget_secs": 1.5}},
+    {"cover": {"type": "quotient_cover", "n": 8, "weights": [1, 7], "m": 4, "p": 3,
+               "expected_degree": 2}},
+    {"cover": {"type": "root_cover", "n": 2, "along": 0, "p": 7, "pair_t": 1, "nvars": 2,
+               "expected_degree": 2}},
+    {"veronese": {"d_vars": 2, "m": 3, "p": 2}, "options": {"backend": "toric", "time_budget_secs": 2}},
+]
+REPLACEMENTS = (3.0, True, "3", [], {}, -1, 0)
+
+
+def _slots(value, path=()):
+    """The path of every value nested in a document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield path + (key,)
+        if isinstance(item, (dict, list)):
+            yield from _slots(item, path + (key,))
+
+
+def _lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _edited(doc, path, edit):
+    doc = copy.deepcopy(doc)
+    edit(_lookup(doc, path[:-1]), path[-1])
+    return doc
+
+
+def _mutations(doc):
+    """Single edits of ``doc``: a value dropped or replaced, or an unknown key added."""
+    for path in _slots(doc):
+        yield _edited(doc, path, lambda parent, key: parent.pop(key))
+        for new in REPLACEMENTS:
+            yield _edited(doc, path, lambda parent, key: parent.__setitem__(key, copy.deepcopy(new)))
+        if path[-1] == "type":
+            yield _edited(doc, path, lambda parent, key: parent.__setitem__(key, "mystery"))
+        if path[-1] in ("facet_coeffs", "components"):
+            yield _edited(doc, path, lambda parent, key: parent.update(
+                facet_coeffs=["1/2"], components=[{"g": "x0", "t": "1/2"}]))
+        if path[-1] in ("t", "pair_t") or path[-2:-1] == ("facet_coeffs",):
+            yield _edited(doc, path, lambda parent, key: parent.__setitem__(key, "1/x"))
+    for path in [(), *_slots(doc)]:
+        if isinstance(_lookup(doc, path), dict):
+            yield _edited(doc, path + ("extra",), lambda parent, key: parent.__setitem__(key, 1))
+
+
+def _corpus():
+    rng = random.Random(23)
+    docs = list(VALID) + [[], None, 3.0, "ring"]
+    singles = [mutant for doc in VALID for mutant in _mutations(doc)]
+    docs += singles
+    for _ in range(1000):
+        docs.append(rng.choice(list(_mutations(rng.choice(singles)))))
+    return docs
+
+
+def test_compiled_predicate_equals_strict_jsonschema():
+    accepts = compile_schema(DOCUMENT_SCHEMA)
+    corpus = _corpus()
+    assert len(corpus) >= 2000
+    rejected = 0
+    for doc in corpus:
+        expected = jsonschema.exceptions.best_match(STRICT.iter_errors(doc))
+        assert accepts(doc) is (expected is None), doc
+        if expected is None:
+            validate_document(doc)
+            continue
+        rejected += 1
+        with pytest.raises(jsonschema.ValidationError) as got:
+            validate_document(doc)
+        assert (got.value.message, got.value.path, got.value.schema_path) == (
+            expected.message, expected.path, expected.schema_path), doc
+    assert len(corpus) - rejected >= len(VALID)
+    assert rejected >= 1500
+
+
+def test_compiled_one_of_counts_overlapping_branches():
+    # no document matches two branches of DOCUMENT_SCHEMA's unions, so the
+    # count of matching branches is checked on a schema where they overlap
+    schema = {"oneOf": [{"type": "integer"}, {"minimum": 0, "pattern": "^a"}]}
+    accepts = compile_schema(schema)
+    for x in (1, -1, 1.5, -1.5, True, "a", "b", None, [], {}):
+        assert accepts(x) is STRICT.evolve(schema=schema).is_valid(x), x
+
+
+def test_compile_schema_refuses_an_unknown_keyword():
+    with pytest.raises(ValueError, match="maxItems"):
+        compile_schema({"type": "object", "properties": {"x": {"type": "array", "maxItems": 2}}})
 
 
 def test_validate_rejects_composite_p():
