@@ -47,11 +47,11 @@ factor of a gap length) is taken in two kinds:
 Every other twist is declined.
 
 A Jordan type is a dict {block size: multiplicity}.  The types of the
-terms are closed forms, and so is J_a (x) J_b (``block_product``): the
-k-th power of x + y on k[x,y]/(x^a, y^b) has rank r_k = ab - l(k), with
-Han's colength 4 l(k) = 2(ab + bk + ka) - a^2 - b^2 - k^2 + delta^2
-(``han_colength``), and r_(L-1) - 2 r_L + r_(L+1) blocks have size L.
-Two types multiply pair by pair; the last two are read only through
+terms are closed forms, and so is J_a (x) J_b (``block_product``): a
+recursion on the base-p digits of a and b with three rules, a lift, a
+Heller shift and the top digit (Renaud, J. Algebra 58, 1979;
+Glasby-Praeger-Xia, J. Algebra 450, 2016), and no rank.  Two types
+multiply pair by pair; the last two are read only through
 their free summands (``free_count``) or block count (``block_count``).
 """
 
@@ -68,8 +68,8 @@ from .poly import Polynomial
 
 # q bounds the O(q) loops and dicts below.  One tensor product pairs at
 # most _MAX_PAIRS block sizes, and the distinct J_a (x) J_b of one walk
-# take at most _MAX_STEPS steps, min(a, b) each: about twice that many
-# ranks, and at most twice that many sizes kept in the walk's memo.
+# sum min(a, b) to at most _MAX_STEPS: it bounds the sizes kept in the
+# walk's memo, at most min(a, b) per product.
 _MAX_Q = 1 << 17
 _MAX_PAIRS = 1 << 16
 _MAX_STEPS = 1 << 22
@@ -90,7 +90,7 @@ def separated_splitting_number(
     quadratic form at odd p; ``factors`` are pairs (g, r) with r > 0,
     either all monomials or one linear form on a quadratic f at odd p
     (see the module docstring).  Past ``deadline`` (a ``time.monotonic()``
-    value, checked before the walk, every 1024 ranks of a product, before
+    value, checked before the walk, before each product J_a (x) J_b, before
     each pair of sizes a product adds up and every 1024 sizes of the last
     count) it raises ``TimeoutError``.  ``ValueError`` comes before any loop for a q
     past ``_MAX_Q``, and before a product's loop when it pairs more than
@@ -256,55 +256,71 @@ def _jordan_type(ranks: list[int], low: int) -> dict[int, int]:
 
 
 def block_product(a: int, b: int, p: int, deadline: float | None = None) -> dict[int, int]:
-    """Jordan type of J_a(x)1 + 1(x)J_b over GF(p), from closed-form ranks.
+    """Jordan type lambda(a, b) of J_a(x)1 + 1(x)J_b over GF(p), by a digit recursion.
 
-    The k-th power of x + y on k[x,y]/(x^a, y^b) has rank r_k = ab - l(k)
-    with 4 l(k) = 2(ab + bk + ka) - a^2 - b^2 - k^2 + delta^2
-    (``han_colength``), and r_(L-1) - 2 r_L + r_(L+1) blocks have size L.
-    For a >= b, r_k = b(a - k) while k <= a - b, so every block is longer
-    than a - b, and only the ranks from k = a - b on are computed.  Past
-    ``deadline``, checked every 1024 ranks, it raises ``TimeoutError``.
+    lambda(r, s) is symmetric; take r <= s.  It is the type of V_r (x) V_s
+    over k[C_m] for a power m of p with m >= r, s (Glasby-Praeger-Xia, J.
+    Algebra 450, 2016).  Let m be the least power of p with m >= r and
+    m >= p.  lambda(0, s) is empty, lambda(1, s) = {s}, "c + lambda" adds c
+    to every size, and otherwise:
+
+    - lift (s >= m): with s = c m + d, 0 <= d < m, lambda(r, s) is
+      c m + lambda(r, d) and max(r - d, 0) blocks of size c m;
+    - Heller shift (s < m < r + s): r + s - m blocks of size m and
+      lambda(m - s, m - r).  Omega V_r = V_(m-r) and V_m is free over
+      k[C_m], so V_(m-s) (x) V_(m-r) = Omega^2 (V_r (x) V_s) + free, and
+      Omega^2 fixes each V_k with k < m; dimensions count the V_m;
+    - top digit (else m/p < r <= s < m, r + s <= m; Renaud, J. Algebra 58,
+      1979): with M = m/p, r = a M + b, s = c M + d, X = lambda(b, d),
+      Y = lambda(M - b, M - d) and t over T = {c-a+1, c-a+3, .., c+a-1}:
+      (a+c) M + X, (t+1) M - X and (t-1) M + Y for each t, and d - b
+      blocks of size (t+1) M for each t if b <= d, else b - d blocks of
+      size L M for each L > 0 among c - a and the t + 1.  At M = 1 this
+      is Clebsch-Gordan.
+
+    Past ``deadline``, checked when it starts, it raises ``TimeoutError``.
     """
-    a, b = max(a, b), min(a, b)
-    low = a - b
-    ranks = []
-    for k in range(low, a + b + 1):
-        if (k - low) % 1024 == 0:
-            _check(deadline)
-        ranks.append(a * b - han_colength(a, b, k, p))
-    return _jordan_type(ranks, low)
+    _check(deadline)
+    return _pair_type(min(a, b), max(a, b), p, {})
 
 
-def han_colength(a: int, b: int, c: int, p: int) -> int:
-    """lambda(k[x,y]/(x^a, y^b, (x+y)^c)) over GF(p), by Han's formula (Han-Monsky 1993).
+def _pair_type(r: int, s: int, p: int, memo: dict) -> dict[int, int]:
+    """lambda(r, s) for r <= s by the rules of ``block_product``, each (r, s) once in ``memo``."""
+    if r <= 1:
+        return {s: 1} if r else {}
+    if (r, s) in memo:
+        return memo[r, s]
+    m = p
+    while m < r:
+        m *= p
+    out: Counter[int] = Counter()
 
-    4 lambda = 2(ab + bc + ca) - a^2 - b^2 - c^2 + delta^2.  delta is the
-    excess of the largest of a, b, c over the sum of the others, if any;
-    else q - d for the largest power q of p with d < q, where d is the
-    taxicab distance from (a, b, c) to the nearest q u with u integral of
-    odd coordinate sum; else 0.  That u rounds each coordinate to a nearest
-    multiple of q, and, when its sum is even, moves to the other side the
-    coordinate k_i that costs least, q - 2 |k_i - q u_i|.
-    """
-    ks = (a, b, c)
-    top = max(ks)
-    delta = 2 * top - a - b - c
-    if delta < 0:
-        delta, q = 0, 1
-        while q <= top:
-            q *= p
-        while q and not delta:
-            dist, move, odd = 0, q, 0
-            for k in ks:
-                u, r = divmod(k, q)
-                if 2 * r > q:
-                    u, r = u + 1, q - r
-                dist, move, odd = dist + r, min(move, q - 2 * r), odd + u
-            if odd % 2 == 0:
-                dist += move
-            delta = max(q - dist, 0)
-            q //= p
-    return (2 * (a * b + b * c + c * a) - a * a - b * b - c * c + delta * delta) // 4
+    def put(jordan: dict[int, int], base: int, sign: int = 1) -> None:
+        for size, n in jordan.items():
+            out[base + sign * size] += n
+
+    if s >= m:
+        c, d = divmod(s, m)
+        put(_pair_type(min(r, d), max(r, d), p, memo), c * m)
+        out[c * m] += max(r - d, 0)
+    elif r + s > m:
+        put(_pair_type(m - s, m - r, p, memo), 0)
+        out[m] += r + s - m
+    else:
+        place = m // p  # M
+        (a, b), (c, d) = divmod(r, place), divmod(s, place)
+        x = _pair_type(min(b, d), max(b, d), p, memo)
+        y = _pair_type(place - max(b, d), place - min(b, d), p, memo)
+        put(x, (a + c) * place)
+        for t in range(c - a + 1, c + a, 2):
+            put(x, (t + 1) * place, -1)
+            put(y, (t - 1) * place)
+            out[(t + 1) * place] += max(d - b, 0)
+        # b > d: sizes L M for L = c - a (c >= a as r <= s; none when 0), c - a + 2, .., c + a
+        for size in range(c - a or 2, c + a + 1, 2) if b > d else ():
+            out[size * place] += b - d
+    memo[r, s] = {size: n for size, n in out.items() if n}
+    return memo[r, s]
 
 
 def free_count(left: dict[int, int], right: dict[int, int], q: int,

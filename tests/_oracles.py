@@ -30,6 +30,7 @@ from fsig.poly import (
     monomial_divides,
     monomial_lcm,
 )
+from fsig.sebastiani import _jordan_type
 from fsig.toric import TorusQDivisor
 
 
@@ -227,6 +228,52 @@ def elimination_block_product(a: int, b: int, p: int) -> dict[int, int]:
         mat[r] = 0
         mat[:, c] = 0
     return dict(sizes)
+
+
+def han_block_product(a: int, b: int, p: int) -> dict[int, int]:
+    """Jordan type of J_a (x) 1 + 1 (x) J_b over GF(p), from Han's closed-form ranks.
+
+    The k-th power of x + y on k[x,y]/(x^a, y^b) has rank r_k = ab - l(k)
+    (``han_colength``), and r_(L-1) - 2 r_L + r_(L+1) blocks have size L.
+    For a >= b, r_k = b(a - k) while k <= a - b, so every block is longer
+    than a - b, and only the ranks from k = a - b on are computed.
+    """
+    a, b = max(a, b), min(a, b)
+    low = a - b
+    ranks = [a * b - han_colength(a, b, k, p) for k in range(low, a + b + 1)]
+    return _jordan_type(ranks, low)
+
+
+def han_colength(a: int, b: int, c: int, p: int) -> int:
+    """lambda(k[x,y]/(x^a, y^b, (x+y)^c)) over GF(p), by Han's formula (Han-Monsky 1993).
+
+    4 lambda = 2(ab + bc + ca) - a^2 - b^2 - c^2 + delta^2.  delta is the
+    excess of the largest of a, b, c over the sum of the others, if any;
+    else q - d for the largest power q of p with d < q, where d is the
+    taxicab distance from (a, b, c) to the nearest q u with u integral of
+    odd coordinate sum; else 0.  That u rounds each coordinate to a nearest
+    multiple of q, and, when its sum is even, moves to the other side the
+    coordinate k_i that costs least, q - 2 |k_i - q u_i|.
+    """
+    ks = (a, b, c)
+    top = max(ks)
+    delta = 2 * top - a - b - c
+    if delta < 0:
+        delta, q = 0, 1
+        while q <= top:
+            q *= p
+        while q and not delta:
+            dist, move, odd = 0, q, 0
+            for k in ks:
+                u, r = divmod(k, q)
+                if 2 * r > q:
+                    u, r = u + 1, q - r
+                dist, move, odd = dist + r, min(move, q - 2 * r), odd + u
+            if odd % 2 == 0:
+                dist += move
+            delta = max(q - dist, 0)
+            q //= p
+    return (2 * (a * b + b * c + c * a) - a * a - b * b - c * c + delta * delta) // 4
 
 
 def elimination_diagonal_form(f: Polynomial, keep: Polynomial | None = None) -> Polynomial:

@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, report shapes, goldens."""
 
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -106,14 +107,19 @@ def test_compute_quadric_past_the_box_cap(tmp_path):
     assert [r["a_e"] for r in report["records"]] == [19, 489, 13131, 354321]
 
 
-def test_compute_budget_stops_the_separated_engine(tmp_path, capsys):
-    # e <= 8 takes about a second in all, e = 9 about two and e = 10 several
-    started = time.monotonic()
+def test_compute_budget_stops_the_separated_engine(tmp_path, capsys, monkeypatch):
+    # Each reading of the clock advances it 5 ms, so the 1 s budget lasts
+    # 200 readings.  The levels e <= 9 read it about 150 times, and the walk
+    # of e = 10 about 70 times, once per 1024 sizes of its last count: the
+    # budget runs out inside that walk, and only its checks can stop it.
+    started = time.perf_counter()
+    ticks = itertools.count(1)
+    monkeypatch.setattr(time, "monotonic", lambda: next(ticks) / 200)
     code, report = run(tmp_path, "compute", QUADRIC_P3, "--e-max", "10", "--budget", "1")
     assert code == 3
     assert report is None
     assert "budget exhausted: time budget exhausted during e = " in capsys.readouterr().err
-    assert time.monotonic() - started < 30
+    assert time.perf_counter() - started < 30
 
 
 def test_compute_huge_e_max_on_a_separated_f_exits_2(tmp_path, capsys):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from fsig.frobenius import PairDivisor, RingPresentation, rounding_gap_check
 from fsig.ideals import Ideal, buchberger, normal_form, spoly
 from fsig.poly import Polynomial, format_polynomial, parse_polynomial
+from fsig.sebastiani import block_product
 from fsig.toric import quotient_singularity, toric_fsig_exact, toric_splitting_number
 
-from _oracles import invariant_monomial_count
+from _oracles import han_block_product, invariant_monomial_count
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -45,6 +46,18 @@ def test_frobenius_is_additive(f):
     # (f + g)^p = f^p + g^p termwise in characteristic p.
     g = Polynomial.variable(0, 7, 3)
     assert (f + g) ** 7 == f**7 + g**7
+
+
+@given(st.integers(1, 2000), st.integers(1, 2000), st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)))
+@settings(max_examples=60, deadline=None)
+def test_block_product_is_the_type_of_the_tensor_product(a, b, p):
+    # J_a (x) J_b has dimension ab and min(a, b) blocks, and its type is
+    # symmetric in a and b and equals the one from Han's ranks
+    jordan = block_product(a, b, p)
+    assert sum(size * n for size, n in jordan.items()) == a * b
+    assert sum(jordan.values()) == min(a, b)
+    assert block_product(b, a, p) == jordan
+    assert han_block_product(a, b, p) == jordan
 
 
 @given(

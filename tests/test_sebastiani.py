@@ -1,5 +1,6 @@
 """The Thom-Sebastiani engine against the rank route and brute-force types."""
 
+import itertools
 import math
 import random
 import time
@@ -20,7 +21,6 @@ from fsig.sebastiani import (
     block_product,
     diagonal_form,
     free_count,
-    han_colength,
     monomial_type,
     separated_colength,
     separated_splitting_number,
@@ -33,6 +33,8 @@ from _oracles import (
     brute_jordan_product,
     elimination_block_product,
     elimination_diagonal_form,
+    han_block_product,
+    han_colength,
     iter_box_monomials,
 )
 
@@ -120,6 +122,36 @@ def test_block_product_matches_the_elimination_on_seeded_pairs():
     for _ in range(30):
         p, a, b = rng.choice([2, 3, 5, 7, 11, 13]), rng.randint(1, 400), rng.randint(1, 400)
         assert block_product(a, b, p) == elimination_block_product(a, b, p), (a, b, p)
+
+
+def _first_rule(a, b, p):
+    """The rule that ``block_product``'s recursion takes first on (a, b)."""
+    r, s = sorted((a, b))
+    m = p
+    while m < r:
+        m *= p
+    if r <= 1:
+        return "J_0 or J_1"
+    if s >= m:
+        return "lift"
+    if r + s > m:
+        return "Heller"
+    if m == p:
+        return "top digit, M = 1"
+    return "top digit, b <= d" if r % (m // p) <= s % (m // p) else "top digit, b > d"
+
+
+def test_block_product_matches_han_ranks():
+    # every pair up to 60 at small p, and seeded pairs up to 700 at p <= 23
+    cases = [(a, b, p) for p in (2, 3, 5, 7, 11, 13) for a in range(1, 61) for b in range(1, 61)]
+    rng = random.Random(24)
+    cases += [(rng.randint(1, 700), rng.randint(1, 700), rng.choice([2, 3, 5, 7, 11, 13, 17, 19, 23]))
+              for _ in range(300)]
+    for a, b, p in cases:
+        assert block_product(a, b, p) == han_block_product(a, b, p), (a, b, p)
+    rules = Counter(_first_rule(*case) for case in cases)
+    for rule in ("lift", "Heller", "top digit, M = 1", "top digit, b <= d", "top digit, b > d"):
+        assert rules[rule] >= 20, rules
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -263,12 +295,17 @@ def test_last_counts_stop_past_deadline():
     assert block_count({3: 1}, {2: 1}, time.monotonic() + 60) == 2
 
 
-def test_engine_stops_inside_a_tensor_product():
+def test_engine_stops_inside_a_tensor_product(monkeypatch):
+    # Each reading of the clock advances it 0.1 s, so the check before the
+    # walk, the first reading, passes the 0.3 s budget and a check inside
+    # the first tensor product finds it spent: only those checks stop it.
     ring = hypersurface(QUADRIC, X4, 3)
-    started = time.monotonic()
+    started = time.perf_counter()
+    ticks = itertools.count(1)
+    monkeypatch.setattr(time, "monotonic", lambda: next(ticks) / 10)
     with pytest.raises(TimeoutError, match="during a tensor product"):
-        splitting_number(ring, e=10, deadline=started + 0.3)
-    assert time.monotonic() - started < 1
+        splitting_number(ring, e=10, deadline=0.3)
+    assert time.perf_counter() - started < 1
 
 
 def test_engine_refuses_a_huge_q_before_any_loop():
