@@ -145,10 +145,6 @@ class PairDivisor:
     def of(cls, components, convention: str = FLOOR_PE) -> PairDivisor:
         return cls(tuple((g, Fraction(t)) for g, t in components), convention)
 
-    @classmethod
-    def empty(cls) -> PairDivisor:
-        return cls(())
-
     def check_floor_zero(self) -> None:
         for _, t in self.components:
             if t >= 1:

@@ -1,9 +1,11 @@
 """Exact dense linear algebra over GF(p) and multiplication-map ranks.
 
 Ranks come from LU elimination on integer-valued float arrays: float32
-while the bounds below allow it, float64 past that.  A prime too large
-for float64 (from about 9.5 * 10^7 on) is refused: ``multiplication_rank``
-raises ValueError, "too large for the dense backend".
+while the bounds below allow it, float64 past that; a prime from about
+9.5 * 10^7 on is "too large for the dense backend" (ValueError).
+``multiplication_rank`` builds each graded block from its two degrees
+alone, under one size cap, ``_MAX_CELLS``: on the degree count and every
+block before any allocation, and on each level of each enumeration.
 
 Exactness invariant: every entry the rank kernel holds is an integer of
 magnitude at most ``_limit(p, dtype)``, which lies at least p below 2^24
@@ -31,12 +33,11 @@ from typing import Sequence
 import numpy as np
 
 from .poly import Polynomial
-from .toric import _rref, primitive_vector
+from .toric import _rref, _runs, primitive_vector
 
 _F32_LIMIT = 2**24
 _F64_LIMIT = 2**53
 _MAX_BLOCK = 128
-_MAX_BOX = 40_000_000
 # source x target cells of one dense block: 256 MB in float32
 _MAX_CELLS = 2**26
 # (term, source) pairs per chunk in _block_matrix: about 1 MB of mask and
@@ -221,94 +222,100 @@ def find_positive_weights(*polys: Polynomial) -> tuple[int, ...] | None:
     return None
 
 
-def _box_exponents(caps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """All exponent vectors below ``caps`` plus the flat-index strides."""
-    caps = tuple(int(c) for c in caps)
-    total = math.prod(caps)
-    flat = np.arange(total, dtype=np.int64)
-    exps = np.stack(np.unravel_index(flat, caps), axis=1).astype(np.int32)
-    strides = np.ones(len(caps), dtype=np.int64)
-    for i in range(len(caps) - 2, -1, -1):
-        strides[i] = strides[i + 1] * caps[i + 1]
-    return exps, strides
+def _box_exponents(caps: Sequence[int], weights: Sequence[int], degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows below ``caps`` of weighted degree ``degree``, and their increasing flat indices.
 
-
-def _block_matrix(
-    terms: np.ndarray,
-    coeffs: np.ndarray,
-    caps_arr: np.ndarray,
-    exps: np.ndarray,
-    strides: np.ndarray,
-    pos: np.ndarray,
-    src: np.ndarray,
-    n_tgt: int,
-) -> np.ndarray:
-    """Matrix of multiplication by g from the monomials ``src`` to a block.
-
-    g is given by its exponent rows ``terms`` and its ``coeffs``, whose
-    dtype the matrix takes.  Column j holds g * x^exps[src[j]] on the
-    block's ``n_tgt`` monomials, row ``pos[flat]`` for the monomial of
-    flat index ``flat``; products past ``caps_arr`` vanish.  Terms that
-    fit above no source of the block are dropped first.  The rest are
-    taken in chunks of at most ``_CHUNK_PAIRS`` (term, source) pairs: one
-    validity mask per chunk, built one coordinate at a time, then one
-    scatter.  Distinct terms send a source to distinct targets, so no two
-    pairs write the same cell.
+    Fixes the variables one at a time, extending each prefix by the run of
+    exponents that leaves a rest the later ones can still make up (all of
+    them for a weight of 0); each level is checked against ``_MAX_CELLS`` first.
     """
-    mat = np.zeros((n_tgt, len(src)), dtype=coeffs.dtype)
-    src_exps = exps[src]
-    nvars = len(caps_arr)
+    flats, rest = np.zeros(1, np.int64), np.full(1, degree, np.int64)
+    later = sum(w * (c - 1) for c, w in zip(caps, weights))
+    for c, w in zip(caps, weights):
+        later -= w * (c - 1)
+        if w:
+            first = np.maximum(-((later - rest) // w), 0)
+            length = np.maximum(np.minimum(rest // w, c - 1) - first + 1, 0)
+        else:
+            first, length = np.zeros_like(rest), np.where((rest >= 0) & (rest <= later), c, 0)
+        total = int(length.sum())
+        if total > _MAX_CELLS:
+            raise ValueError(f"a graded piece with over {_MAX_CELLS} prefixes is too large for a dense rank")
+        k = _runs(first, length, total)
+        flats = np.repeat(flats, length) * c + k
+        rest = np.repeat(rest, length) - w * k
+    return np.stack(np.unravel_index(flats, caps), axis=1), flats
+
+
+def _piece_sizes(caps: Sequence[int], weights: Sequence[int], top: int) -> np.ndarray:
+    """Box monomials of each weighted degree 0..top, each capped at ``_MAX_CELLS + 1``.
+
+    Running sums per residue mod w multiply in each 1 + t^w + ... + t^(w (c - 1));
+    capping every term keeps a sum's comparison with the cap exact.
+    """
+    sizes = np.zeros(top + 1, dtype=np.int64)
+    sizes[0] = 1
+    for c, w in zip(caps, weights):
+        if not w:
+            sizes = sizes * min(c, _MAX_CELLS + 1)
+        elif w <= top:  # a larger weight leaves degrees 0..top as they are
+            sizes = np.pad(sizes, (0, -(top + 1) % w)).reshape(-1, w).cumsum(axis=0).ravel()[: top + 1]
+            sizes[w * c :] -= sizes[: max(top + 1 - w * c, 0)]
+        sizes = np.minimum(sizes, _MAX_CELLS + 1)
+    return sizes
+
+
+def _block_matrix(terms: np.ndarray, coeffs: np.ndarray, caps_arr: np.ndarray, strides: np.ndarray,
+                  source: tuple[np.ndarray, np.ndarray], target: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Matrix of multiplication by g (exponent rows ``terms``, ``coeffs``) from ``source`` to ``target``.
+
+    Both are ``_box_exponents`` pairs.  Column j is g times source j, in the
+    rows ``np.searchsorted`` finds for the products' flat indices; products
+    past ``caps_arr`` vanish.  Terms are taken in chunks of at most
+    ``_CHUNK_PAIRS`` (term, source) pairs, one mask and one scatter each;
+    distinct terms send a source to distinct targets, so no cell is written twice.
+    """
+    (src_exps, src_flats), tgt_flats = source, target[1]
+    mat = np.zeros((len(tgt_flats), len(src_flats)), dtype=coeffs.dtype)
     room = caps_arr - terms
     fits = np.all(room > src_exps.min(axis=0), axis=1)
     room, coeffs = room[fits], coeffs[fits]
     shifts = terms[fits] @ strides
-    src_flats = src_exps @ strides
-    step = max(1, _CHUNK_PAIRS // len(src))
+    step = max(1, _CHUNK_PAIRS // len(src_flats))
     for a in range(0, len(room), step):
         chunk = room[a : a + step]
         valid = src_exps[:, 0] < chunk[:, :1]
-        for i in range(1, nvars):
+        for i in range(1, len(caps_arr)):
             valid &= src_exps[:, i] < chunk[:, i : i + 1]
         ti, si = valid.nonzero()
         ti += a
-        mat[pos[src_flats[si] + shifts[ti]], si] = coeffs[ti]
+        mat[np.searchsorted(tgt_flats, src_flats[si] + shifts[ti]), si] = coeffs[ti]
     return mat
 
 
-def multiplication_rank(
-    g: Polynomial,
-    caps: Sequence[int],
-    weights: Sequence[int] | None = None,
-    deadline: float | None = None,
-) -> int:
+def multiplication_rank(g: Polynomial, caps: Sequence[int], weights: Sequence[int] | None = None,
+                        deadline: float | None = None) -> int:
     """Rank of multiplication by g on GF(p)[x]/(x_i^{caps_i}).
 
     With positive ``weights`` under which g is homogeneous the map is
     computed blockwise per weighted degree; the quotient pairs perfectly
     into its socle degree, so blocks past the midpoint mirror the early
     ones and are not rebuilt.  Without weights the whole box is one block.
-    A box past ``_MAX_BOX`` monomials, or a block past ``_MAX_CELLS``
-    source x target cells, raises ``ValueError`` before anything is
-    allocated.  Past ``deadline`` (a ``time.monotonic()`` value, checked
-    before each graded block) it raises ``TimeoutError``.
+    Each block is built from its source and target degrees alone.  The one
+    size cap, ``_MAX_CELLS``, raises ``ValueError`` on the degree count and
+    each block's cells before any allocation, and on each level of each
+    enumeration.  Past ``deadline`` (``time.monotonic()``, checked per block): ``TimeoutError``.
     """
-    p = g.p
     caps = tuple(int(c) for c in caps)
     if len(caps) != g.nvars:
         raise ValueError("caps length must match the number of variables")
-    if any(c <= 0 for c in caps):
+    if g.is_zero() or any(c <= 0 for c in caps):
         return 0
-    if g.is_zero():
-        return 0
-    total = math.prod(caps)
     if g.is_monomial():
-        t = next(iter(g.terms))
-        return math.prod(max(c - e, 0) for c, e in zip(caps, t))
-    dtype, block = _plan(p)
+        return math.prod(max(c - e, 0) for c, e in zip(caps, next(iter(g.terms))))
+    dtype, block = _plan(g.p)
     if dtype is None:
-        raise ValueError(f"characteristic {p} too large for the dense backend")
-    if total > _MAX_BOX:
-        raise ValueError(f"monomial box of size {total} is too large to enumerate")
+        raise ValueError(f"characteristic {g.p} too large for the dense backend")
     if weights is None:
         # all-zero weights: one block holding the whole box, nothing mirrored
         weights = (0,) * len(caps)
@@ -319,40 +326,32 @@ def multiplication_rank(
     if not g.is_homogeneous(weights):
         raise ValueError("polynomial is not homogeneous under the given weights")
     deg_g = g.weighted_degree(weights)
-    # box monomials per weighted degree 0..socle: the coefficients of the
-    # product of 1 + t^w_i + ... + t^(w_i (caps_i - 1)) over i
-    sizes = np.ones(1, dtype=np.int64)
-    for c, w in zip(caps, weights):
-        sizes = np.convolve(sizes, np.bincount(np.arange(c) * w))
-    center = len(sizes) - 1 - deg_g
-    # the blocks that are built: source degree j <= center / 2, target j + deg_g
-    sources = sizes[: max(center // 2 + 1, 0)]
-    cells = sources * sizes[deg_g : deg_g + len(sources)]
-    if cells.max(initial=0) > _MAX_CELLS:
+    # source degree j <= center / 2; its target j + deg_g is as large as degree center - j
+    center = sum(w * (c - 1) for c, w in zip(caps, weights)) - deg_g
+    if center < 0:
+        return 0
+    if center >= _MAX_CELLS:
+        raise ValueError(f"a grading of {center + 1} pieces is too large for a dense rank")
+    sizes = _piece_sizes(caps, weights, center)
+    sources, targets = sizes[: center // 2 + 1], sizes[::-1][: center // 2 + 1]
+    cells = sources * targets
+    if cells.max() > _MAX_CELLS:
         j = int(cells.argmax())
-        raise ValueError(
-            f"a block of {sources[j]} x {sizes[j + deg_g]} monomials is too large for a dense rank"
-        )
-    exps, strides = _box_exponents(caps)
+        count = lambda n: str(n) if n <= _MAX_CELLS else f"over {_MAX_CELLS}"
+        raise ValueError(f"a block of {count(sources[j])} x {count(targets[j])} monomials is too large for a dense rank")
+    if math.prod(caps) >= 2**63:
+        raise ValueError("the flat indices of this monomial box would leave int64")
+    strides = np.cumprod((caps[1:] + (1,))[::-1], dtype=np.int64)[::-1]
     caps_arr = np.asarray(caps, dtype=np.int64)
-    terms = np.fromiter(chain.from_iterable(g.terms), dtype=np.int64, count=len(g.terms) * g.nvars)
-    terms = terms.reshape(-1, g.nvars)
+    terms = np.fromiter(chain.from_iterable(g.terms), np.int64, len(g.terms) * g.nvars).reshape(-1, g.nvars)
     coeffs = np.fromiter(g.terms.values(), dtype=dtype, count=len(terms))
-    order = np.argsort(exps @ np.asarray(weights, dtype=np.int64), kind="stable")
-    ends = np.cumsum(sizes).tolist()
-    starts = [0] + ends[:-1]
-    # pos[flat]: the place of a monomial within its degree's block
-    pos = np.empty(total, dtype=np.int64)
-    for a, b in zip(starts, ends):
-        pos[order[a:b]] = np.arange(b - a, dtype=np.int64)
     rank = 0
     for j in range(len(sources)):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("time budget exhausted during a graded rank")
         block_rank = 0
         if cells[j]:
-            src = order[starts[j] : ends[j]]
-            mat = _block_matrix(terms, coeffs, caps_arr, exps, strides, pos, src, int(sizes[j + deg_g]))
-            block_rank = _rank_inplace(mat, p, block)
+            source, target = _box_exponents(caps, weights, j), _box_exponents(caps, weights, j + deg_g)
+            block_rank = _rank_inplace(_block_matrix(terms, coeffs, caps_arr, strides, source, target), g.p, block)
         rank += block_rank if 2 * j == center else 2 * block_rank
     return rank

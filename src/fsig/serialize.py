@@ -277,20 +277,36 @@ def _strict_validator():
     return jsonschema.validators.extend(base, type_checker=types)(DOCUMENT_SCHEMA)
 
 
+def _relevance(error) -> tuple:
+    """jsonschema's ``relevance``, ranking last the errors of a ``oneOf`` branch whose
+    ``type`` const is not the instance's type: so a bad ``p``, which every ring
+    branch has, is named by its own value, not by the whole ring.
+    """
+    from jsonschema.exceptions import relevance
+
+    parent, other_kind = error.parent, False
+    if parent is not None and parent.validator == "oneOf" and isinstance(parent.instance, dict):
+        branch = parent.validator_value[error.relative_schema_path[0]]
+        const = branch.get("properties", {}).get("type", {}).get("const")
+        other_kind = const is not None and parent.instance.get("type") != const
+    return other_kind, relevance(error)
+
+
 def validate_document(doc: Any) -> None:
     """Raise unless ``doc`` is a valid spec document.
 
     The check is a predicate compiled from DOCUMENT_SCHEMA at import.  A
     document it rejects goes to jsonschema only to explain the rejection:
-    the strict validator's best-matching ``jsonschema.ValidationError`` is
-    raised, with its message, path and schema path.  jsonschema stays the
-    authority, so a document it finds no error in is accepted.  Then each
-    ``p`` of a ring, cover or veronese must be prime (``ValueError``).
+    the strict validator's best-matching ``jsonschema.ValidationError``
+    (by ``_relevance``) is raised, with its message, path and schema path.
+    jsonschema stays the authority, so a document it finds no error in is
+    accepted.  Then each ``p`` of a ring, cover or veronese must be prime
+    (``ValueError``).
     """
     if not _document_ok(doc):
         from jsonschema.exceptions import best_match
 
-        error = best_match(_strict_validator().iter_errors(doc))
+        error = best_match(_strict_validator().iter_errors(doc), key=_relevance)
         if error is not None:
             raise error
     for key in ("ring", "cover", "veronese"):

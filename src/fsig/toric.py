@@ -166,6 +166,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _runs(first: np.ndarray, length: np.ndarray, total: int) -> np.ndarray:
+    """first[c], ..., first[c] + length[c] - 1 for each c in turn: the step of every walk.
+
+    ``total`` is ``length.sum()``, which the caller checks before this allocates.
+    """
+    starts = np.cumsum(length) - length
+    return np.arange(total) - np.repeat(starts - first, length)
+
+
 def row_lattice_basis(gens: Sequence[Sequence[int]]) -> list[Vector]:
     """Echelon basis of the lattice spanned by the given integer rows."""
     ncols = len(gens[0])
@@ -432,9 +441,7 @@ class ToricRing:
             total = int(length.sum())
             if total > limit:
                 raise ValueError(error)
-            starts = np.cumsum(length) - length
-            k = np.arange(total) - np.repeat(starts - first, length)
-            sums = np.repeat(sums, length, axis=1) + basis[i][:, None] * k
+            sums = np.repeat(sums, length, axis=1) + basis[i][:, None] * _runs(first, length, total)
         return sums
 
     def _progressions(self, sums: np.ndarray, i: int, cap: int) -> tuple[np.ndarray, np.ndarray]:

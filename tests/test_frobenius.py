@@ -130,6 +130,20 @@ def test_a1_splitting_numbers():
     assert [splitting_number(ring, None, e) for e in (1, 2, 3)] == [5, 41, 365]
 
 
+def test_ade_rank_route_past_the_old_box_cap(monkeypatch):
+    # D5 and E7 at p = 7, e = 3 are neither separated nor quadratic, so they take the
+    # rank route, whose graded pieces fit the cell cap although the 343^3 box is over
+    # 40M monomials; the values are the Klein-formula predictions (|G| = 12 and 48)
+    names = ("x", "y", "z")
+    calls = []
+    real_rank = frobenius.multiplication_rank
+    monkeypatch.setattr(frobenius, "multiplication_rank", lambda *args: calls.append(1) or real_rank(*args))
+    for f, expected in (("x^2 + y^2*z + z^4", 9805), ("x^2 + y^3 + y*z^3", 2452)):
+        ring = RingPresentation.hypersurface(parse_polynomial(f, 7, 3, names=names), names=names)
+        assert splitting_number(ring, None, 3) == expected, f
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "f, p, e, pair, convention, expected",
     [

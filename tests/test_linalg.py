@@ -206,6 +206,59 @@ def test_multiplication_rank_matches_brute_force():
         assert got == expected, (text, p, q, got, expected)
 
 
+def brute_piece(caps, weights, degree):
+    """The box monomials of one weighted degree, by filtering the whole box in flat order."""
+    return [m for m in product(*map(range, caps)) if np.dot(m, weights) == degree]
+
+
+def test_box_exponents_match_a_filtered_box():
+    # every degree from -1 past the top, so some hold no monomial; weights
+    # of 0 (all of them for the ungraded whole box) take every exponent
+    rng = random.Random(41)
+    seen = {"zero weight": 0, "empty": 0, "whole box": 0}
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        caps = tuple(rng.randint(1, 5) for _ in range(nvars))
+        weights = tuple(rng.choice((0, 1, 1, 2, 3, 5)) for _ in range(nvars))
+        top = sum(w * (c - 1) for c, w in zip(caps, weights))
+        degree = rng.randint(-1, top + 1)
+        exps, flats = linalg._box_exponents(caps, weights, degree)
+        expected = brute_piece(caps, weights, degree)
+        assert exps.shape == (len(expected), nvars)
+        assert [tuple(m) for m in exps.tolist()] == expected, (caps, weights, degree)
+        assert flats.tolist() == [int(np.ravel_multi_index(m, caps)) for m in expected]
+        seen["zero weight"] += 0 in weights
+        seen["empty"] += not expected
+        seen["whole box"] += not any(weights) and degree == 0
+    assert all(seen.values()), seen
+
+
+def test_box_exponents_refuse_a_level_past_the_cell_cap(monkeypatch):
+    # weights (2, 2) at the odd degree 5: the first level holds three prefixes
+    # (x^0, x^1, x^2), none of which the second can complete; the cap counts
+    # the rows a level makes, not the monomials that come out
+    caps, weights = (4, 4), (2, 2)
+    assert brute_piece(caps, weights, 5) == []
+    monkeypatch.setattr(linalg, "_MAX_CELLS", 3)
+    assert len(linalg._box_exponents(caps, weights, 5)[0]) == 0
+    monkeypatch.setattr(linalg, "_MAX_CELLS", 2)
+    with pytest.raises(ValueError, match="a graded piece with over 2 prefixes is too large for a dense rank"):
+        linalg._box_exponents(caps, weights, 5)
+
+
+def test_piece_sizes_count_the_box_and_saturate(monkeypatch):
+    rng = random.Random(43)
+    for cap in (linalg._MAX_CELLS, 5):
+        monkeypatch.setattr(linalg, "_MAX_CELLS", cap)
+        for _ in range(100):
+            nvars = rng.randint(1, 4)
+            caps = tuple(rng.randint(1, 6) for _ in range(nvars))
+            weights = (0,) * nvars if rng.random() < 0.2 else tuple(rng.randint(1, 9) for _ in range(nvars))
+            top = rng.randint(0, sum(w * (c - 1) for c, w in zip(caps, weights)) + 2)
+            expected = [min(len(brute_piece(caps, weights, k)), cap + 1) for k in range(top + 1)]
+            assert linalg._piece_sizes(caps, weights, top).tolist() == expected, (caps, weights, top)
+
+
 def test_block_matrix_matches_brute_force(monkeypatch):
     # Graded blocks of a random weighted-homogeneous g, and the whole box
     # for an arbitrary g, each at the default chunk size and at 3 pairs
@@ -213,16 +266,15 @@ def test_block_matrix_matches_brute_force(monkeypatch):
     rng = random.Random(23)
     seen = {"single source": 0, "more terms than sources": 0, "term past caps": 0}
 
-    def check(g, caps, exps, strides, pos, src, tgt):
+    def check(g, caps, weights, j, degree):
         terms = np.array(list(g.terms), dtype=np.int64).reshape(-1, len(caps))
         coeffs = np.array(list(g.terms.values()), dtype=np.float32)
-        mat = linalg._block_matrix(
-            terms, coeffs, np.asarray(caps, dtype=np.int64), exps, strides, pos, src, len(tgt)
-        )
-        expected = brute_block_matrix(
-            g, caps, [tuple(exps[i]) for i in src], [tuple(exps[i]) for i in tgt]
-        )
-        assert mat.dtype == np.float32 and mat.tolist() == expected
+        strides = np.array([int(np.prod(caps[i + 1 :])) for i in range(len(caps))], dtype=np.int64)
+        source = linalg._box_exponents(caps, weights, j)
+        target = linalg._box_exponents(caps, weights, j + degree)
+        mat = linalg._block_matrix(terms, coeffs, np.asarray(caps, dtype=np.int64), strides, source, target)
+        src, tgt = brute_piece(caps, weights, j), brute_piece(caps, weights, j + degree)
+        assert mat.dtype == np.float32 and mat.tolist() == brute_block_matrix(g, caps, src, tgt)
         seen["single source"] += len(src) == 1
         seen["more terms than sources"] += len(g.terms) > len(src)
         seen["term past caps"] += any(any(e >= c for e, c in zip(m, caps)) for m in g.terms)
@@ -233,7 +285,7 @@ def test_block_matrix_matches_brute_force(monkeypatch):
             p = rng.choice((2, 3, 5, 7))
             nvars = rng.randint(1, 3)
             caps = tuple(rng.randint(1, 5) for _ in range(nvars))
-            weights = np.array([rng.randint(1, 3) for _ in range(nvars)])
+            weights = tuple(rng.randint(1, 3) for _ in range(nvars))
             degree = rng.randint(1, 8)
             candidates = [
                 m for m in product(range(degree + 1), repeat=nvars) if np.dot(m, weights) == degree
@@ -242,21 +294,15 @@ def test_block_matrix_matches_brute_force(monkeypatch):
                 continue
             chosen = rng.sample(candidates, min(len(candidates), rng.randint(1, 12)))
             g = Polynomial(p, nvars, {m: rng.randrange(1, p) for m in chosen})
-            exps, strides = linalg._box_exponents(caps)
-            degrees = exps @ weights
-            pos = np.empty(len(exps), dtype=np.int64)
-            for j in np.unique(degrees):
-                src = np.nonzero(degrees == j)[0]
-                tgt = np.nonzero(degrees == j + degree)[0]
-                if len(tgt):
-                    pos[tgt] = np.arange(len(tgt))
-                    check(g, caps, exps, strides, pos, src, tgt)
+            top = sum(w * (c - 1) for c, w in zip(caps, weights))
+            for j in range(top + 1):
+                if brute_piece(caps, weights, j) and brute_piece(caps, weights, j + degree):
+                    check(g, caps, weights, j, degree)
             terms = {
                 tuple(rng.randint(0, c + 1) for c in caps): rng.randrange(1, p)
                 for _ in range(rng.randint(1, 12))
             }
-            everything = np.arange(len(exps))
-            check(Polynomial(p, nvars, terms), caps, exps, strides, everything, everything, everything)
+            check(Polynomial(p, nvars, terms), caps, (0,) * nvars, 0, 0)
     assert all(seen.values()), seen
 
 
@@ -289,13 +335,13 @@ def test_multiplication_rank_without_weights_matches_brute_force():
             for _ in range(rng.randint(1, 8))
         }
         g = Polynomial(p, nvars, terms)
-        box = [tuple(int(x) for x in m) for m in linalg._box_exponents(caps)[0]]
+        box = [tuple(m) for m in linalg._box_exponents(caps, (0,) * nvars, 0)[0].tolist()]
         expected = rank_mod_p_reference(brute_block_matrix(g, caps, box, box), p)
         assert multiplication_rank(g, caps) == expected, (g, caps)
 
 
 def test_block_cap_refuses_before_any_block_is_built(monkeypatch):
-    build = linalg._block_matrix
+    build, enumerate_piece = linalg._block_matrix, linalg._box_exponents
 
     def unreachable(*args):
         raise AssertionError("a block was assembled past the cap")
@@ -304,16 +350,36 @@ def test_block_cap_refuses_before_any_block_is_built(monkeypatch):
     g = parse_polynomial("x + y", 5, 2, names=("x", "y"))
     graded = multiplication_rank(g, (4, 4), (1, 1))
     monkeypatch.setattr(linalg, "_block_matrix", unreachable)
+    monkeypatch.setattr(linalg, "_box_exponents", unreachable)
+    # one count per degree 0..22 (the socle 24 less deg f): more than the cap
     monkeypatch.setattr(linalg, "_MAX_CELLS", 10)
-    with pytest.raises(ValueError, match="too large for a dense rank"):
+    with pytest.raises(ValueError, match="a grading of 23 pieces is too large for a dense rank"):
+        multiplication_rank(f, (9, 9, 9), find_positive_weights(f))
+    # the largest block, degree 11 (60 monomials) to degree 13 (60), is named,
+    # and a count past the cap is named as such
+    monkeypatch.setattr(linalg, "_MAX_CELLS", 60 * 60 - 1)
+    with pytest.raises(ValueError, match="a block of 60 x 60 monomials is too large for a dense rank"):
+        multiplication_rank(f, (9, 9, 9), find_positive_weights(f))
+    monkeypatch.setattr(linalg, "_MAX_CELLS", 30)
+    with pytest.raises(ValueError, match="a block of over 30 x over 30 monomials"):
         multiplication_rank(f, (9, 9, 9), find_positive_weights(f))
     # without weights the whole 4 x 4 box is one block of 16 x 16 cells
     monkeypatch.setattr(linalg, "_MAX_CELLS", 16 * 16 - 1)
     with pytest.raises(ValueError, match="a block of 16 x 16 monomials"):
         multiplication_rank(g, (4, 4))
     monkeypatch.setattr(linalg, "_block_matrix", build)
+    monkeypatch.setattr(linalg, "_box_exponents", enumerate_piece)
     monkeypatch.setattr(linalg, "_MAX_CELLS", 16 * 16)
     assert multiplication_rank(g, (4, 4)) == graded == 12
+
+
+def test_flat_indices_past_int64_are_refused():
+    # degrees 0 and 1 hold four monomials, but the flat indices of a
+    # 2^90-monomial box cannot be held in int64
+    big = 2**30
+    g = Polynomial(5, 3, {(big - 1, big - 2, big - 1): 1, (big - 2, big - 1, big - 1): 1})
+    with pytest.raises(ValueError, match="would leave int64"):
+        multiplication_rank(g, (big,) * 3, (1, 1, 1))
 
 
 def test_box_dimension():

@@ -537,7 +537,7 @@ def test_quadric_pins_past_the_box_cap():
     ring = hypersurface("x*y + y*z + z*x", XYZ, 7)
     # nondegenerate ternary, so the type of x*y - z^2: a_4 = (q^2 + 1)/2
     assert [splitting_number(ring, e=e) for e in (1, 2, 3, 4)] == [25, 1201, 58825, 2882401]
-    with pytest.raises(ValueError, match="too large to enumerate"):
+    with pytest.raises(ValueError, match="a block of .* monomials is too large for a dense rank"):
         rank_route(ring, 3)
     # x0^2 + x0*x1 + x1^2 = (x0 + 2*x1)^2 over GF(3): a form of rank 3
     ring = hypersurface(QUADRIC + " + x0*x1", X4, 3)
@@ -738,5 +738,5 @@ def test_monomial_pair_matches_the_window_count_past_the_box_cap():
         q = 3**e
         a_e = splitting_number(ring, delta, e)
         assert a_e == toric_splitting_number(model, facets, e) == (q * q + 3) // 6
-    with pytest.raises(ValueError, match="too large to enumerate"):
+    with pytest.raises(ValueError, match="a block of .* monomials is too large for a dense rank"):
         twist_rank(ring, delta, 6)
