@@ -49,7 +49,6 @@ from .covers import (
     compose_covers,
     count_trace_summands,
     doubling_check,
-    identity_cover,
     pullback_divisor,
     pullback_pair,
     quotient_cover,
@@ -73,19 +72,16 @@ from .frobenius import (
     fsig_value,
     hk_length_sequence,
     perturbed_limit_check,
-    rounding_gap_check,
     sequence_diagnostics,
-    sfr_witness,
     splitting_number,
 )
-from .ideals import Ideal, frobenius_power, quotient_length, spoly
+from .ideals import Ideal, frobenius_power, quotient_length
 from .poly import ParseError, Polynomial, parse_polynomial
 from .toric import (
     FreeClassCertificate,
     SimplicialityError,
     ToricRing,
     TorusQDivisor,
-    canonical_divisor,
     quotient_singularity,
     toric_fsig_exact,
     toric_splitting_certificates,
@@ -121,7 +117,6 @@ __all__ = [
     "TraceReport",
     "TransformationReport",
     "VerificationFailure",
-    "canonical_divisor",
     "chain_simulation",
     "class_order",
     "compose_covers",
@@ -134,7 +129,6 @@ __all__ = [
     "fsig_sequence",
     "fsig_value",
     "hk_length_sequence",
-    "identity_cover",
     "index_bound",
     "parse_polynomial",
     "perturbed_limit_check",
@@ -148,11 +142,8 @@ __all__ = [
     "quotient_singularity",
     "ramification_divisor",
     "root_cover",
-    "rounding_gap_check",
     "sequence_diagnostics",
-    "sfr_witness",
     "splitting_number",
-    "spoly",
     "toric_fsig_exact",
     "toric_splitting_certificates",
     "toric_splitting_number",

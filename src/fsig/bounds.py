@@ -244,38 +244,17 @@ def index_bound(ring: ToricRing, facet_coeffs) -> IndexReport:
 def veronese_bound(d_vars: int, m: int, p: int) -> BoundReport:
     """m <= 1/s(R) for the m-th Veronese R of a polynomial ring, p not | m.
 
-    The Veronese is the quotient by the diagonal weight-(1,..,1) action,
-    always small for d >= 2, so s(R) = 1/m exactly and the bound is tight;
-    the inclusion into the full polynomial ring is the etale-in-
-    codimension-one witness of generic rank m.
+    The Veronese is the quotient 1/m(1,..,1), always small for d >= 2, so
+    this is ``pi1_order_bound`` of that quotient: s(R) = 1/m exactly and
+    the bound is attained by the inclusion into the full polynomial ring,
+    the etale-in-codimension-one cover of degree m.
     """
     if d_vars < 2:
         raise ValueError("need at least two variables for the section-ring model")
     if m % p == 0:
         raise ValueError(f"p = {p} divides m = {m}")
-    if m == 1:
-        return BoundReport(
-            s=Fraction(1),
-            exact=True,
-            bound=1,
-            prime_to_p=p,
-            theorem="veronese",
-            attained=True,
-            note="trivial Veronese",
-        )
-    ring = quotient_singularity(m, (1,) * d_vars, p)
-    _require(ring.small, "the Veronese action contains a pseudo-reflection")
-    s = toric_fsig_exact(ring)
-    _require(s == Fraction(1, m), f"the Veronese has s = {s}, not 1/{m}")
-    witness = quotient_cover(ring, 1)
-    _require(witness.degree == m and witness.etale_in_codim1,
-             "the polynomial ring does not witness the Veronese bound")
-    return BoundReport(
-        s=s,
-        exact=True,
-        bound=math.floor(1 / s),
-        prime_to_p=p,
-        theorem="veronese",
-        attained=True,
-        note="witnessed by the inclusion into the polynomial ring",
-    )
+    report = pi1_order_bound(quotient_singularity(m, (1,) * d_vars, p))
+    _require(report.s == Fraction(1, m), f"the Veronese has s = {report.s}, not 1/{m}")
+    _require(report.attained, "the polynomial ring does not witness the Veronese bound")
+    note = "trivial Veronese" if m == 1 else "witnessed by the inclusion into the polynomial ring"
+    return replace(report, theorem="veronese", note=note)

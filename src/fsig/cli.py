@@ -382,6 +382,17 @@ def _validation_error() -> type:
     return ValidationError
 
 
+def _where(exc) -> str:
+    """`` at ring.weights[1]``: where a rejected document's bad value is; empty at its root."""
+    path = ""
+    for key in getattr(exc, "absolute_path", ()):
+        if isinstance(key, int):
+            path += f"[{key}]"
+        else:
+            path += f".{key}" if path else key
+    return f" at {path}" if path else ""
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
@@ -398,7 +409,7 @@ def main(argv=None) -> int:
         return 4
     except (_validation_error(), ValueError, RecursionError, OSError) as exc:
         message = getattr(exc, "message", None) or str(exc)
-        print(f"input error: {message.splitlines()[0]}", file=sys.stderr)
+        print(f"input error: {message.splitlines()[0]}{_where(exc)}", file=sys.stderr)
         return 2
     report["command"] = args.command
     report["timing"] = {"seconds": time.monotonic() - started}

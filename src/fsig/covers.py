@@ -181,11 +181,6 @@ def _build_cover(
     )
 
 
-def identity_cover(ring: ToricRing) -> CoverDescriptor:
-    eye = [[int(i == j) for j in range(ring.d)] for i in range(ring.d)]
-    return _build_cover(ring, ring, eye, kind="identity")
-
-
 def quotient_cover(lower: ToricRing, m: int) -> CoverDescriptor:
     """The extension k[x]^{mu_n} subset k[x]^{mu_m} for m | n above a cyclic quotient.
 
@@ -422,8 +417,8 @@ def doubling_check(cover: CoverDescriptor) -> DoublingReport:
 
     In the strictly local graded model a cover of degree > 1 is never
     etale everywhere (it is branched at the vertex), so the inequality
-    applies to every nontrivial etale-in-codimension-one cover; the
-    identity cover passes vacuously.
+    applies to every nontrivial etale-in-codimension-one cover; a
+    degree-one cover passes vacuously.
     """
     if not cover.etale_in_codim1:
         raise ValueError("the doubling check requires a cover etale in codimension one")

@@ -113,11 +113,6 @@ class RingPresentation:
         return None
 
 
-def in_bracket_maximal(g: Polynomial, q: int) -> bool:
-    """Membership in m^[q]: every term divisible by some x_i^q."""
-    return all(any(e >= q for e in m) for m in g.terms)
-
-
 @dataclass(frozen=True)
 class PairDivisor:
     """A formal sum of rational multiples of principal divisors.
@@ -406,42 +401,6 @@ def fsig_value(
     return FSignature(min(seq.last, seq.estimate), False, (min(seq.last, fit), max(seq.last, fit)), seq)
 
 
-@dataclass(frozen=True)
-class RoundingReport:
-    """Per-component comparison of the two twist-exponent conventions."""
-
-    q: int
-    floor_exponents: tuple[int, ...]
-    ceil_exponents: tuple[int, ...]
-    equalities: tuple[bool, ...]
-    forced_equalities: tuple[bool, ...]
-    passed: bool
-
-
-def rounding_gap_check(delta: PairDivisor, e: int, p: int) -> RoundingReport:
-    """Checks floor(q*t) <= ceil((q-1)*t), with equality forced when (q-1)*t is integral."""
-    delta.check_floor_zero()
-    q = p**e
-    floors = []
-    ceils = []
-    equalities = []
-    forced = []
-    ok = True
-    for _, t in delta.components:
-        lo = math.floor(q * t)
-        hi = math.ceil((q - 1) * t)
-        floors.append(lo)
-        ceils.append(hi)
-        equalities.append(lo == hi)
-        integral = ((q - 1) * t).denominator == 1
-        forced.append(integral)
-        if lo > hi:
-            ok = False
-        if integral and lo != hi:
-            ok = False
-    return RoundingReport(q, tuple(floors), tuple(ceils), tuple(equalities), tuple(forced), ok)
-
-
 def ctrick_gap_sequence(
     ring: RingPresentation, c: Polynomial, e_max: int
 ) -> list[Fraction]:
@@ -580,38 +539,3 @@ def _diagonal_caps(ideal: Ideal) -> tuple[int, ...] | None:
     if any(c == 0 for c in caps):
         return None
     return tuple(caps)
-
-
-@dataclass(frozen=True)
-class SfrWitness:
-    """Least e with the splitting witness, or None if inconclusive.
-
-    A missing witness up to searched_up_to is reported as inconclusive,
-    never as a negative certificate.
-    """
-
-    e: int | None
-    searched_up_to: int
-
-    @property
-    def conclusive(self) -> bool:
-        return self.e is not None
-
-
-def sfr_witness(ring: RingPresentation, c: Polynomial, e_max: int = 4) -> SfrWitness:
-    """Search for the least e such that c times the Frobenius twist splits."""
-    if c.is_zero():
-        raise ValueError("c must be nonzero")
-    _check_nonzero_in_ring(ring, c)
-    for e in range(1, e_max + 1):
-        q = ring.p**e
-        try:
-            if ring.kind == "regular":
-                candidate = c
-            else:
-                candidate = c * ring.f ** (q - 1)
-        except OverflowError:
-            raise ExponentOverflow(q) from None
-        if not in_bracket_maximal(candidate, q):
-            return SfrWitness(e, e_max)
-    return SfrWitness(None, e_max)

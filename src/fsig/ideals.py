@@ -112,13 +112,6 @@ def _spoly_terms(f: Reducer, g: Reducer, p: int) -> dict[Monomial, int]:
     return out
 
 
-def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of f and g."""
-    if f.p != g.p or f.nvars != g.nvars:
-        raise ValueError("polynomials live in different rings")
-    return Polynomial(f.p, f.nvars, _spoly_terms(_reducer(f), _reducer(g), f.p))
-
-
 def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of multivariate division of f by the basis; deterministic.
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
+from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -184,6 +184,7 @@ def _same_power(caps: tuple[int, ...], p: int) -> bool:
     return all(c == q for c in caps)
 
 
+@lru_cache(maxsize=1024)
 def diagonal_form(f: Polynomial, keep: Polynomial | None = None) -> Polynomial:
     """A form equivalent to the quadratic form f over F-bar_p, p odd, up to unit coefficients.
 
@@ -206,6 +207,8 @@ def diagonal_form(f: Polynomial, keep: Polynomial | None = None) -> Polynomial:
     Otherwise l is not in the row space of B, so l(z) = 1 for some z in
     the radical of f.  In a basis of z and the kernel of l, u is z's
     coordinate, f does not involve it, and the bordered rank is r + 2.
+
+    The form depends only on (f, keep), so each pair is derived once.
     """
     p, n = f.p, f.nvars
     b = [[0] * n for _ in range(n)]
@@ -293,19 +296,20 @@ def _pair_type(r: int, s: int, p: int, memo: dict) -> dict[int, int]:
     m = p
     while m < r:
         m *= p
-    out: Counter[int] = Counter()
+    out: dict[int, int] = {}
 
     def put(jordan: dict[int, int], base: int, sign: int = 1) -> None:
         for size, n in jordan.items():
-            out[base + sign * size] += n
+            key = base + sign * size
+            out[key] = out.get(key, 0) + n
 
     if s >= m:
         c, d = divmod(s, m)
         put(_pair_type(min(r, d), max(r, d), p, memo), c * m)
-        out[c * m] += max(r - d, 0)
+        out[c * m] = out.get(c * m, 0) + max(r - d, 0)
     elif r + s > m:
         put(_pair_type(m - s, m - r, p, memo), 0)
-        out[m] += r + s - m
+        out[m] = out.get(m, 0) + r + s - m
     else:
         place = m // p  # M
         (a, b), (c, d) = divmod(r, place), divmod(s, place)
@@ -315,10 +319,10 @@ def _pair_type(r: int, s: int, p: int, memo: dict) -> dict[int, int]:
         for t in range(c - a + 1, c + a, 2):
             put(x, (t + 1) * place, -1)
             put(y, (t - 1) * place)
-            out[(t + 1) * place] += max(d - b, 0)
+            out[(t + 1) * place] = out.get((t + 1) * place, 0) + max(d - b, 0)
         # b > d: sizes L M for L = c - a (c >= a as r <= s; none when 0), c - a + 2, .., c + a
         for size in range(c - a or 2, c + a + 1, 2) if b > d else ():
-            out[size * place] += b - d
+            out[size * place] = out.get(size * place, 0) + b - d
     memo[r, s] = {size: n for size, n in out.items() if n}
     return memo[r, s]
 
@@ -369,13 +373,13 @@ def _tensor(left: dict[int, int], right: dict[int, int], p: int, memo: dict,
         raise ValueError(_TOO_LARGE)
     for key in new:
         memo[key] = block_product(*key, p, deadline)
-    out: Counter[int] = Counter()
+    out: dict[int, int] = {}
     for a, m in left.items():
         for b, n in right.items():
             _check(deadline)
             for size, k in memo[min(a, b), max(a, b)].items():
-                out[size] += m * n * k
-    return dict(out)
+                out[size] = out.get(size, 0) + m * n * k
+    return out
 
 
 def _check(deadline: float | None) -> None:

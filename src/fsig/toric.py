@@ -554,13 +554,10 @@ class FreeClassCertificate:
 
     q: int
     residue: Vector
-    residue_ambient: Vector
     free: bool
     counted: bool
     witness: Vector | None = None
-    witness_ambient: Vector | None = None
     obstruction: tuple[Vector, Vector] | None = None
-    obstruction_ambient: tuple[Vector, Vector] | None = None
     region_bound: tuple[int, ...] | None = None
 
 
@@ -635,11 +632,9 @@ def toric_splitting_certificates(
         certs[residue] = FreeClassCertificate(
             q=q,
             residue=residue,
-            residue_ambient=ring.embed(residue),
             free=True,
             counted=counted,
             witness=w,
-            witness_ambient=ring.embed(w),
             region_bound=tuple(free_widths),
         )
     out = list(certs.values())
@@ -670,11 +665,9 @@ def toric_splitting_certificates(
                 FreeClassCertificate(
                     q=q,
                     residue=residue,
-                    residue_ambient=ring.embed(residue),
                     free=False,
                     counted=False,
                     obstruction=(m1, m2),
-                    obstruction_ambient=(ring.embed(m1), ring.embed(m2)),
                     region_bound=bound,
                 )
             )
@@ -707,8 +700,3 @@ def toric_fsig_exact(ring: ToricRing, delta: TorusQDivisor | None = None) -> Fra
     if any(t >= 1 for t in delta.coefficients):
         return Fraction(0)
     return math.prod((1 - t for t in delta.coefficients), start=Fraction(1, ring.index))
-
-
-def canonical_divisor(ring: ToricRing) -> TorusQDivisor:
-    """K = -(sum of the torus-invariant prime divisors)."""
-    return TorusQDivisor((Fraction(-1),) * ring.nfacets)

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from fsig.frobenius import RingPresentation, in_bracket_maximal
+from fsig.frobenius import RingPresentation
 from fsig.ideals import Ideal, normal_form
 from fsig.field import is_prime, rank_mod_p_reference
 from fsig.linalg import _plan, _rank_inplace
@@ -460,6 +460,11 @@ def normalized_window_fraction(normals, q: int) -> Fraction:
 def variable_names(ring: RingPresentation) -> tuple[str, ...]:
     """The ring's variable names, x0..x{n-1} when none were given."""
     return ring.names if ring.names is not None else default_names(ring.nvars)
+
+
+def in_bracket_maximal(g: Polynomial, q: int) -> bool:
+    """Membership in m^[q]: every term divisible by some x_i^q."""
+    return all(any(e >= q for e in m) for m in g.terms)
 
 
 def is_degenerate(ring: RingPresentation) -> bool:

@@ -170,6 +170,21 @@ def test_veronese_bound_tight():
     assert report.attained
 
 
+@pytest.mark.parametrize("d_vars, m, p", [
+    (d_vars, m, p) for d_vars in (2, 3, 4) for m in range(1, 9) for p in (2, 3, 5, 7) if m % p
+])
+def test_veronese_is_the_pi1_bound_of_the_diagonal_quotient(d_vars, m, p):
+    report = veronese_bound(d_vars, m, p)
+    assert report.s == Fraction(1, m)
+    assert report.bound == m
+    assert report.attained
+    assert report.theorem == "veronese"
+    assert report.note == ("trivial Veronese" if m == 1 else
+                           "witnessed by the inclusion into the polynomial ring")
+    pi1 = pi1_order_bound(quotient_singularity(m, (1,) * d_vars, p))
+    assert asdict(report) == {**asdict(pi1), "theorem": "veronese", "note": report.note}
+
+
 def test_veronese_trivial_m1():
     report = veronese_bound(2, 1, 5)
     assert report.bound == 1

@@ -197,24 +197,33 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     "doc, message",
     [
         ({"ring": {"type": "quotient", "n": 3.0, "weights": [1, 1], "p": 5}},
-         "3.0 is not of type 'integer'"),
+         "3.0 is not of type 'integer' at ring.n"),
         ({"ring": {"type": "quotient", "n": 3, "weights": [1, 1.0], "p": 5}},
-         "1.0 is not of type 'integer'"),
+         "1.0 is not of type 'integer' at ring.weights[1]"),
         ({"ring": {"type": "quotient", "n": 3, "weights": [1, 1], "p": 5}, "options": {"e_max": 2.0}},
-         "2.0 is not of type 'integer'"),
+         "2.0 is not of type 'integer' at options.e_max"),
         # p and nvars sit in every ring branch: the branch of the ring's type names the value
         ({"ring": {"type": "quotient", "n": 3, "weights": [1, 1], "p": 5.0}},
-         "5.0 is not of type 'integer'"),
+         "5.0 is not of type 'integer' at ring.p"),
         ({"ring": {"type": "hypersurface", "p": 3, "nvars": 3.0, "f": "x0*x1 - x2^2"}},
-         "3.0 is not of type 'integer'"),
+         "3.0 is not of type 'integer' at ring.nvars"),
     ],
+    # a case's id names the value, not its path
+    ids=lambda value: value.split(" at ")[0] if isinstance(value, str) else None,
 )
 def test_integral_float_is_an_input_error(tmp_path, capsys, command, doc, message):
     # an integral float is not an integer: the builders need an int, and 3.0
-    # used to reach them and end in a TypeError traceback
+    # used to reach them and end in a TypeError traceback; the error says
+    # where the value is
     code, _ = run(tmp_path, command, doc)
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"input error: {message}")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_schema_error_at_the_root_names_no_path(tmp_path, capsys):
+    code, _ = run(tmp_path, "compute", {**QUOTIENT_13, "extra": 1})
+    assert code == 2
+    assert capsys.readouterr().err == "input error: Additional properties are not allowed ('extra' was unexpected)\n"
 
 
 def _python(script: str) -> subprocess.CompletedProcess:
@@ -238,7 +247,7 @@ def test_rejected_document_loads_jsonschema_to_explain(tmp_path):
         "sys.exit(code if 'jsonschema' in sys.modules else 99)\n"
     )
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == "input error: 3.0 is not of type 'integer'\n"
+    assert proc.stderr == "input error: 3.0 is not of type 'integer' at ring.n\n"
 
 
 def test_block_past_the_cell_cap_is_refused(tmp_path, capsys):
@@ -551,57 +560,70 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
-def _referenced_names(tree) -> Counter:
-    """Uses of each name in ``tree``: as a name, an attribute or an import."""
+def _foreign_imports(tree) -> set[str]:
+    """The names that ``tree`` binds to an import from outside fsig."""
+    foreign = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            foreign.update((alias.asname or alias.name).split(".")[0] for alias in node.names
+                           if alias.name.split(".")[0] != "fsig")
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] != "fsig":
+            foreign.update(alias.asname or alias.name for alias in node.names)
+    return foreign
+
+
+def _referenced_names(tree, foreign: set[str]) -> Counter:
+    """Uses of each name in ``tree``: as a name, an attribute or an import.
+
+    An attribute read off a name in ``foreign``, such as ``np.empty``,
+    names the other library's attribute and is not counted.
+    """
     names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
+            if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                names[node.attr] += 1
         elif isinstance(node, ast.alias):
             names[node.name.rsplit(".", 1)[-1]] += 1
     return names
 
 
 def test_every_src_definition_is_referenced():
-    # A module-level def or class is dead unless another module of the
-    # package (the re-exports in __init__ aside), a demo, the benchmark,
-    # or another statement of its own module names it.  A test counts
-    # only for the public names in fsig.__all__: a helper that only the
-    # tests call belongs in tests/.
+    # A definition is dead unless code that ships names it: a module-level
+    # def or class needs another module of the package (the re-exports in
+    # __init__ aside), a demo, the benchmark, or another statement of its
+    # own module; a method or property (dunders aside) needs a use in
+    # src/, demos/ or perfbench/ outside its own def.  Tests never count,
+    # so a helper that only the tests call belongs in tests/.
     root = Path(__file__).resolve().parent.parent
     modules = {path.name: ast.parse(path.read_text())
                for path in sorted(Path(fsig.__file__).parent.glob("*.py"))
                if path.name != "__init__.py"}
     assert modules
-    outside = {name: _referenced_names(tree) for name, tree in modules.items()}
-    public = set(fsig.__all__)
-    for folder in ("tests", "demos", "perfbench"):
+    foreign = {name: _foreign_imports(tree) for name, tree in modules.items()}
+    outside = {name: _referenced_names(tree, foreign[name]) for name, tree in modules.items()}
+    for folder in ("demos", "perfbench"):
         for path in sorted((root / folder).rglob("*.py")):
-            names = _referenced_names(ast.parse(path.read_text()))
-            outside[str(path)] = set(names) & public if folder == "tests" else names
+            tree = ast.parse(path.read_text())
+            outside[str(path)] = _referenced_names(tree, _foreign_imports(tree))
     unreferenced = []
     for name, tree in modules.items():
         elsewhere = set().union(*(refs for other, refs in outside.items() if other != name))
-        statements = [_referenced_names(node) for node in tree.body]
+        statements = [_referenced_names(node, foreign[name]) for node in tree.body]
         for i, node in enumerate(tree.body):
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name not in elsewhere.union(*statements[:i], *statements[i + 1 :]):
                 unreferenced.append(f"{name}:{node.name}")
-    # A method or property (dunders aside) is dead unless its name is used
-    # anywhere in src/, tests/, demos/ or perfbench/ outside its own def.
-    uses = Counter()
-    for path in [*Path(fsig.__file__).parent.glob("*.py"),
-                 *(path for folder in ("tests", "demos", "perfbench") for path in (root / folder).rglob("*.py"))]:
-        uses.update(_referenced_names(ast.parse(path.read_text())))
+    uses = sum(outside.values(), Counter())
     for name, tree in modules.items():
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             for node in cls.body:
                 if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or re.fullmatch("__.*__", node.name):
                     continue
-                if uses[node.name] == _referenced_names(node)[node.name]:
+                if uses[node.name] == _referenced_names(node, foreign[name])[node.name]:
                     unreferenced.append(f"{name}:{cls.name}.{node.name}")
     assert unreferenced == []
 

@@ -14,7 +14,6 @@ from fsig.covers import (
     compose_covers,
     count_trace_summands,
     doubling_check,
-    identity_cover,
     pullback_divisor,
     pullback_pair,
     quotient_cover,
@@ -74,7 +73,7 @@ def test_quotient_cover_rejects_p_dividing_degree():
 
 def test_identity_cover_trivial():
     ring = quotient_singularity(3, (1, 1), 5)
-    cover = identity_cover(ring)
+    cover = quotient_cover(ring, ring.group_order)
     assert cover.degree == 1
     assert cover.ram.is_zero()
     report = doubling_check(cover)

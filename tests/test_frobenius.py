@@ -21,9 +21,7 @@ from fsig.frobenius import (
     fsig_value,
     hk_length_sequence,
     perturbed_limit_check,
-    rounding_gap_check,
     sequence_diagnostics,
-    sfr_witness,
     splitting_number,
     _twist,
 )
@@ -268,14 +266,12 @@ def test_pair_coefficient_range():
 
 
 def test_rounding_gap_check_inequality_and_forced_equality():
+    # floor(q t) <= ceil((q-1) t) at q = 25: equal at t = 1/2, where (q-1) t
+    # is integral, and 3 < 4 at t = 1/7
     x = parse_polynomial("x0", 5, 1)
-    delta = PairDivisor.of([(x, Fraction(1, 2))])
-    report = rounding_gap_check(delta, 2, 5)
-    assert report.passed
-    assert report.floor_exponents <= report.ceil_exponents
-    # (q-1)*t integral at q = 25, t = 1/2: the conventions must agree.
-    assert report.forced_equalities == (True,)
-    assert report.equalities == (True,)
+    components = [(x, Fraction(1, 2)), (x, Fraction(1, 7))]
+    assert PairDivisor.of(components).exponents(25) == [12, 3]
+    assert PairDivisor.of(components, CEIL_PE_MINUS_1).exponents(25) == [12, 4]
 
 
 def test_ctrick_gap_nonincreasing_and_small():
@@ -350,23 +346,6 @@ def test_a_refused_level_keeps_the_finished_records():
     with pytest.raises(ValueError, match="floor must be zero") as refused:
         fsig_sequence(a1_surface(), PairDivisor.of([(a1_surface().f, 1)]), e_max=2)
     assert not isinstance(refused.value, LevelRefused)
-
-
-def test_sfr_witness_immediate_for_f_pure():
-    ring = a1_surface()
-    c = parse_polynomial("z", 3, 3, names=("x", "y", "z"))
-    witness = sfr_witness(ring, c)
-    assert witness.conclusive
-    assert witness.e == 1
-
-
-def test_sfr_witness_inconclusive_is_not_negative():
-    # f = x^3 + y^3 + z^3 at p = 3 is not F-pure; no witness exists for c = x.
-    f = parse_polynomial("x^3 + y^3 + z^3", 3, 3, names=("x", "y", "z"))
-    ring = RingPresentation.hypersurface(f, names=("x", "y", "z"))
-    witness = sfr_witness(ring, parse_polynomial("x", 3, 3, names=("x", "y", "z")), e_max=2)
-    assert not witness.conclusive
-    assert witness.searched_up_to == 2
 
 
 def test_degenerate_hypersurface_all_splittings_vanish():

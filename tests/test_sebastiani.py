@@ -484,6 +484,26 @@ def test_rank_rule_matches_the_elimination():
     assert sum(kinds.values()) >= 2000 and min(kinds.values()) >= 100 and len(kinds) == 3, kinds
 
 
+def test_repeated_diagonal_forms_match_the_elimination():
+    # a repeated request, also with an equal copy of f, returns the cached
+    # form, and it is still the one the elimination picks
+    rng = random.Random(20268)
+    hits = diagonal_form.cache_info().hits
+    for _ in range(200):
+        p = rng.choice([3, 5, 7, 11, 13])
+        f = random_quadratic_form(rng, p, rng.randint(1, 6))
+        ell = random_linear_form(rng, p, f.nvars)
+        u = min(m.index(1) for m in ell.terms)
+        plain, form = diagonal_form(f), diagonal_form(f, keep=ell)
+        for g in (f, Polynomial(p, f.nvars, dict(f.terms))):
+            assert diagonal_form(g) is plain and diagonal_form(g, keep=ell) is form
+        expected = elimination_diagonal_form(f, keep=ell)
+        assert len(plain.terms) == len(elimination_diagonal_form(f).terms), f.terms
+        assert normal_form_kind(form, u) == normal_form_kind(expected, u), (f.terms, ell.terms)
+        assert len(form.terms) == len(expected.terms), (f.terms, ell.terms)
+    assert diagonal_form.cache_info().hits - hits >= 4 * 200
+
+
 def test_quadratic_forms_match_the_rank_route():
     # a_e and the colength at m of a quadratic form that is not written
     # diagonally come from its diagonal form

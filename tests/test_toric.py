@@ -17,7 +17,6 @@ from fsig.toric import (
     _is_small,
     _minimal_elements,
     adjugate,
-    canonical_divisor,
     quotient_singularity,
     row_lattice_basis,
     row_reduction_transform,
@@ -475,12 +474,6 @@ def test_degenerate_pair_gives_zero():
     ring = quotient_singularity(3, (1, 1), 5)
     delta = TorusQDivisor.of([Fraction(1), Fraction(1)])
     assert toric_fsig_exact(ring, delta) == 0
-
-
-def test_canonical_divisor_all_minus_one():
-    ring = quotient_singularity(3, (1, 1), 5)
-    k = canonical_divisor(ring)
-    assert all(c == -1 for c in k.coefficients)
 
 
 def test_divisor_arithmetic():
